@@ -13,7 +13,6 @@ from .elements import (
     OpticalElement,
     PhaseShifter,
     beamsplitter_matrix,
-    element_embedding,
     phaseshifter_factor,
 )
 from .engine import (
@@ -77,7 +76,6 @@ __all__ = [
     "compile_circuit",
     "dft_matrix",
     "dilate",
-    "element_embedding",
     "generate_phase_states",
     "invert",
     "is_unitary",

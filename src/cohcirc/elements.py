@@ -19,6 +19,10 @@ import numpy as np
 from .errors import DimensionError
 
 
+# Modes index arrays, so they must be integers (numpy integer scalars too).
+_INTEGER = (int, np.integer)
+
+
 @dataclass(frozen=True)
 class Beamsplitter:
     """Two-mode coupler with reflectivity sin(theta)^2 and relative phase phi."""
@@ -28,7 +32,15 @@ class Beamsplitter:
     theta: float
     phi: float
 
+    @property
+    def modes(self) -> tuple[int, int]:
+        return (self.mode1, self.mode2)
+
     def __post_init__(self):
+        if not (isinstance(self.mode1, _INTEGER) and isinstance(self.mode2, _INTEGER)):
+            raise DimensionError(
+                f"beamsplitter modes must be integers, got {self.mode1!r}, {self.mode2!r}"
+            )
         if self.mode1 < 0 or self.mode2 < 0:
             raise DimensionError("beamsplitter modes must be non-negative")
         if self.mode1 == self.mode2:
@@ -44,7 +56,15 @@ class PhaseShifter:
     mode: int
     phi: float
 
+    @property
+    def modes(self) -> tuple[int]:
+        return (self.mode,)
+
     def __post_init__(self):
+        if not isinstance(self.mode, _INTEGER):
+            raise DimensionError(
+                f"phase shifter mode must be an integer, got {self.mode!r}"
+            )
         if self.mode < 0:
             raise DimensionError("phase shifter mode must be non-negative")
         if not math.isfinite(self.phi):
@@ -54,35 +74,24 @@ class PhaseShifter:
 OpticalElement = Union[Beamsplitter, PhaseShifter]
 
 
-def beamsplitter_matrix(theta: float, phi: float) -> np.ndarray:
-    """2x2 map [[cos t, i e^{-i phi} sin t], [i e^{i phi} sin t, cos t]]."""
+def beamsplitter_matrix(theta, phi) -> np.ndarray:
+    """2x2 map [[cos t, i e^{-i phi} sin t], [i e^{i phi} sin t, cos t]].
+
+    Array angles give a stack of shape ``np.shape(theta) + (2, 2)``.
+    """
     c = np.cos(theta)
-    s = np.sin(theta)
-    return np.array(
-        [[c, 1j * np.exp(-1j * phi) * s], [1j * np.exp(1j * phi) * s, c]],
-        dtype=complex,
-    )
+    i_s = 1j * np.sin(theta)
+    e = np.exp(1j * np.asarray(phi))
+    m = np.empty(np.shape(c) + (2, 2), dtype=complex)
+    m[..., 0, 0] = m[..., 1, 1] = c
+    m[..., 0, 1] = i_s * e.conj()
+    m[..., 1, 0] = i_s * e
+    return m
 
 
-def phaseshifter_factor(phi: float) -> complex:
-    """Multiplier exp(-i*phi) applied to the starred amplitude."""
-    return complex(np.exp(-1j * phi))
+def phaseshifter_factor(phi) -> complex | np.ndarray:
+    """Multiplier exp(-i*phi) applied to the starred amplitude.
 
-
-def element_embedding(element: OpticalElement, width: int) -> np.ndarray:
-    """Embed an element into the identity on ``width`` modes."""
-    u = np.eye(width, dtype=complex)
-    if isinstance(element, Beamsplitter):
-        i, j = element.mode1, element.mode2
-        if i >= width or j >= width:
-            raise DimensionError(f"beamsplitter modes ({i}, {j}) exceed width {width}")
-        block = beamsplitter_matrix(element.theta, element.phi)
-        u[i, i] = block[0, 0]
-        u[i, j] = block[0, 1]
-        u[j, i] = block[1, 0]
-        u[j, j] = block[1, 1]
-    else:
-        if element.mode >= width:
-            raise DimensionError(f"phase shifter mode {element.mode} exceeds width {width}")
-        u[element.mode, element.mode] = phaseshifter_factor(element.phi)
-    return u
+    Array angles give an array of factors.
+    """
+    return np.exp(-1j * np.asarray(phi))

@@ -13,9 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .elements import Beamsplitter, beamsplitter_matrix, phaseshifter_factor
 from .errors import DimensionError
-from .synthesis import Circuit
+from .synthesis import Circuit, propagate
 
 
 def as_amplitudes(a) -> np.ndarray:
@@ -40,19 +39,13 @@ def apply_matrix(m, amplitudes) -> np.ndarray:
 
 
 def apply_circuit(circuit: Circuit, amplitudes) -> np.ndarray:
-    """Element-by-element application; equals apply_matrix(compile(c), a)."""
-    vec = as_amplitudes(amplitudes).copy()
+    """Layer-by-layer propagation; equals apply_matrix(compile(c), a)."""
+    vec = as_amplitudes(amplitudes)
     if circuit.width != vec.shape[0]:
         raise DimensionError(
             f"circuit width {circuit.width} does not match vector width {vec.shape[0]}"
         )
-    for element in circuit.elements:
-        if isinstance(element, Beamsplitter):
-            pair = [element.mode1, element.mode2]
-            vec[pair] = beamsplitter_matrix(element.theta, element.phi) @ vec[pair]
-        else:
-            vec[element.mode] *= phaseshifter_factor(element.phi)
-    return vec
+    return propagate(circuit, vec)
 
 
 def mean_photon_number(amplitudes) -> float:

@@ -37,6 +37,11 @@ def _int(token: str, context: str) -> int:
         raise ParseError(f"{context}: cannot parse integer {token!r}") from None
 
 
+def _check_finite(values: np.ndarray, context: str) -> None:
+    if not np.isfinite(values).all():
+        raise ParseError(f"{context}: entries must be finite, got nan or inf")
+
+
 def parse_matrix(text: str) -> np.ndarray:
     lines = text.splitlines()
     if not lines:
@@ -56,6 +61,7 @@ def parse_matrix(text: str) -> np.ndarray:
         )
     values = [_float(tok, "matrix entry") for tok in tokens]
     flat = np.array(values[0::2]) + 1j * np.array(values[1::2])
+    _check_finite(flat, "matrix")
     return flat.reshape(rows, cols)
 
 
@@ -82,7 +88,9 @@ def parse_amplitudes(text: str) -> np.ndarray:
         if len(parts) != 2:
             raise ParseError(f"amplitudes: expected 're im', got {line!r}")
         values.append(complex(_float(parts[0], "amplitude"), _float(parts[1], "amplitude")))
-    return np.array(values, dtype=complex)
+    amplitudes = np.array(values, dtype=complex)
+    _check_finite(amplitudes, "amplitudes")
+    return amplitudes
 
 
 def format_amplitudes(amplitudes) -> str:

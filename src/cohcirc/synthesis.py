@@ -2,14 +2,20 @@
 block dilation of contractions.
 
 A :class:`Circuit` is an ordered element list over a fixed number of
-modes.  ``compile_circuit`` multiplies the element embeddings with later
-elements applied from the left, so list order is physical order: the
-first element acts first.
+modes; list order is physical order, the first element acts first.  A
+circuit is lowered once into index and coefficient arrays scheduled into
+layers of elements on disjoint modes, and one kernel, :func:`propagate`,
+applies those layers to a vector or a block of vectors.
+``compile_circuit`` is that kernel applied to the identity.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -36,14 +42,9 @@ class Circuit:
             raise DimensionError("circuit width must be at least 1")
         object.__setattr__(self, "elements", tuple(self.elements))
         for element in self.elements:
-            modes = (
-                (element.mode1, element.mode2)
-                if isinstance(element, Beamsplitter)
-                else (element.mode,)
-            )
-            if max(modes) >= self.width:
+            if max(element.modes) >= self.width:
                 raise DimensionError(
-                    f"element modes {modes} exceed circuit width {self.width}"
+                    f"element modes {element.modes} exceed circuit width {self.width}"
                 )
 
     @property
@@ -59,17 +60,109 @@ class Circuit:
             raise DimensionError("circuit widths differ")
         return Circuit(self.width, self.elements + other.elements)
 
+    @cached_property
+    def lowered(self) -> "LoweredCircuit":
+        """The circuit as arrays, computed on first use and kept on the instance."""
+        return _lower(self)
 
-def compile_circuit(circuit: Circuit) -> np.ndarray:
-    """Product of element embeddings, later elements multiplied from the left."""
-    u = np.eye(circuit.width, dtype=complex)
+
+@dataclass(frozen=True, eq=False)
+class LoweredCircuit:
+    """A circuit as index and coefficient arrays, scheduled into layers.
+
+    ``pairs`` and ``blocks`` hold the beamsplitters' modes and 2x2
+    matrices, ``phase_modes`` and ``phase_factors`` the phase shifters',
+    each in list order.  ``pair_layer`` and ``phase_layer`` are the
+    schedule: an element's layer is one past the last layer of any
+    earlier element sharing a mode, so the elements of a layer act on
+    disjoint modes and running the layers in order keeps list order as
+    physical order.  ``steps`` holds one ``(src, coef, dst)`` per layer,
+    which sets rows ``dst`` of the state to
+    ``coef[0] * x[src[0]] + coef[1] * x[src[1]]``: two rows per
+    beamsplitter and one per phase shifter (whose ``coef[1]`` is 0).
+    """
+
+    pairs: np.ndarray
+    blocks: np.ndarray
+    pair_layer: np.ndarray
+    phase_modes: np.ndarray
+    phase_factors: np.ndarray
+    phase_layer: np.ndarray
+    steps: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+
+def _lower(circuit: Circuit) -> LoweredCircuit:
+    free = [0] * circuit.width  # first layer in which each mode is idle
+    couplers, pair_layer, shifters, phase_layer = [], [], [], []
     for element in circuit.elements:
         if isinstance(element, Beamsplitter):
-            pair = [element.mode1, element.mode2]
-            u[pair, :] = beamsplitter_matrix(element.theta, element.phi) @ u[pair, :]
+            i, j = element.modes
+            at = free[i] if free[i] > free[j] else free[j]
+            free[i] = free[j] = at + 1
+            couplers.append(element)
+            pair_layer.append(at)
         else:
-            u[element.mode, :] *= phaseshifter_factor(element.phi)
-    return u
+            (i,) = element.modes
+            phase_layer.append(free[i])
+            free[i] += 1
+            shifters.append(element)
+
+    def column(items, attr, dtype):
+        return np.fromiter(map(attrgetter(attr), items), dtype, len(items))
+
+    pairs = np.stack(
+        [column(couplers, "mode1", np.intp), column(couplers, "mode2", np.intp)], 1
+    )
+    blocks = beamsplitter_matrix(
+        column(couplers, "theta", float), column(couplers, "phi", float)
+    )
+    pair_layer = np.array(pair_layer, dtype=np.intp)
+    phase_modes = column(shifters, "mode", np.intp)
+    phase_factors = phaseshifter_factor(column(shifters, "phi", float))
+    phase_layer = np.array(phase_layer, dtype=np.intp)
+
+    # One row per updated amplitude, holding its (dst, other source) indices
+    # and (own, other) coefficients: rows i and j of each beamsplitter and
+    # row p of each phase shifter.
+    sources = np.concatenate([pairs, pairs[:, ::-1], np.stack([phase_modes] * 2, 1)])
+    coefs = np.concatenate(
+        [
+            blocks[:, 0, :],
+            blocks[:, 1, ::-1],
+            np.stack([phase_factors, np.zeros_like(phase_factors)], 1),
+        ]
+    )
+    row_layer = np.concatenate([pair_layer, pair_layer, phase_layer])
+    order = np.argsort(row_layer, kind="stable")
+    src = sources.T[:, order]
+    coef = coefs.T[:, order]
+    bounds = np.cumsum(np.bincount(row_layer)).tolist()
+    steps = tuple(
+        (src[:, lo:hi], coef[:, lo:hi], src[0, lo:hi])
+        for lo, hi in zip([0] + bounds[:-1], bounds)
+    )
+    return LoweredCircuit(
+        pairs, blocks, pair_layer, phase_modes, phase_factors, phase_layer, steps
+    )
+
+
+def propagate(circuit: Circuit, x) -> np.ndarray:
+    """Apply ``circuit`` to a ``(width,)`` vector or ``(width, k)`` block.
+
+    Returns a new array; each layer is one gather, multiply-add and scatter.
+    """
+    out = np.array(x, dtype=complex)
+    vector = out.ndim == 1
+    for src, coef, dst in circuit.lowered.steps:
+        gathered = out.take(src, axis=0)
+        gathered *= coef if vector else coef[:, :, None]
+        out[dst] = gathered[0] + gathered[1]
+    return out
+
+
+def compile_circuit(circuit: Circuit) -> np.ndarray:
+    """The circuit's matrix: :func:`propagate` applied to the identity."""
+    return propagate(circuit, np.eye(circuit.width, dtype=complex))
 
 
 def invert(circuit: Circuit) -> Circuit:
@@ -111,30 +204,44 @@ def reck_decompose(u, tol: float = linalg.UNITARY_TOL, full_mesh: bool = False) 
     if defect > tol:
         raise SynthesisError(f"input is not unitary: max|U U^dag - I| = {defect:.3e}")
 
+    # Column updates run on rows of the transposed copy, which are
+    # contiguous.  Rows below ``row`` of the columns being mixed are
+    # already zero, so only the first ``row + 1`` entries change.
+    wt = w.T.copy()
     elements: list[OpticalElement] = []
     for row in range(n - 1, 0, -1):
+        targets = wt[:row, row].tolist()
+        y = wt[row, : row + 1]
         for col in range(row - 1, -1, -1):
-            a = w[row, col]
+            a = targets[col]
             if abs(a) <= tol:
-                w[row, col] = 0.0
+                wt[col, row] = 0.0
                 if full_mesh:
                     elements.append(Beamsplitter(col, row, 0.0, 0.0))
                 continue
-            b = w[row, row]
-            theta = float(np.arctan2(abs(a), abs(b)))
-            phi = float(np.angle(a) - np.angle(b) + np.pi / 2)
-            phi = (phi + np.pi) % (2 * np.pi) - np.pi
-            w[:, [col, row]] = w[:, [col, row]] @ beamsplitter_matrix(theta, phi)
-            w[row, col] = 0.0
+            b = complex(wt[row, row])
+            theta = math.atan2(abs(a), abs(b))
+            phi = cmath.phase(a) - cmath.phase(b) + math.pi / 2
+            phi = (phi + math.pi) % (2 * math.pi) - math.pi
+            c = math.cos(theta)
+            s = math.sin(theta)
+            # [x y] <- [x y] @ beamsplitter_matrix(theta, phi), in place.
+            e = cmath.exp(1j * phi)
+            x = wt[col, : row + 1]
+            from_x = x * (1j * s * e.conjugate())
+            x *= c
+            x += y * (1j * s * e)
+            y *= c
+            y += from_x
+            wt[col, row] = 0.0
             elements.append(Beamsplitter(col, row, -theta, phi))
 
     # What is left is diagonal with unit-modulus entries; realize it as
     # a trailing phase-shifter layer, dropping phases that round to 0.
-    for mode in range(n):
-        d = w[mode, mode]
+    for mode, d in enumerate(np.diagonal(wt).tolist()):
         if abs(d - 1.0) <= tol:
             continue
-        elements.append(PhaseShifter(mode, -float(np.angle(d))))
+        elements.append(PhaseShifter(mode, -cmath.phase(d)))
     return Circuit(width=n, elements=tuple(elements))
 
 

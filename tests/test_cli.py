@@ -193,3 +193,21 @@ def test_unknown_flag_is_a_parse_error():
 
 def test_bad_complex_flag():
     assert main(["qkd", "--n", "4", "--alpha", "1"]) == 1
+
+
+def test_synth_rejects_non_finite_matrix_entries(tmp_path, capsys):
+    matrix_file = tmp_path / "m.txt"
+    matrix_file.write_text("2 2\n1 0 0 0\n0 0 nan 0\n")
+    assert main(["synth", str(matrix_file), str(tmp_path / "c.txt")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: matrix:")
+
+
+def test_run_rejects_non_finite_amplitudes(tmp_path, capsys):
+    circuit_file = tmp_path / "c.txt"
+    amps_file = tmp_path / "a.txt"
+    circuit_file.write_text("width=2\nBS 0 1 0.5 0\n")
+    amps_file.write_text("n=2\n1 0\ninf 0\n")
+    assert main(["run", str(circuit_file), str(amps_file)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: amplitudes:")

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from cohcirc import (
     Beamsplitter,
+    Circuit,
     PhaseShifter,
     beamsplitter_matrix,
-    element_embedding,
+    compile_circuit,
     phaseshifter_factor,
 )
 from cohcirc.errors import DimensionError
@@ -62,19 +63,24 @@ def test_phaseshifter_factor(phi, expected):
     assert phaseshifter_factor(phi) == pytest.approx(expected)
 
 
+def embedding(element, width):
+    """The element's matrix on ``width`` modes: a one-element circuit, compiled."""
+    return compile_circuit(Circuit(width, (element,)))
+
+
 def test_embedding_phaseshifter():
-    u = element_embedding(PhaseShifter(0, np.pi), width=3)
+    u = embedding(PhaseShifter(0, np.pi), width=3)
     assert np.allclose(u, np.diag([-1.0, 1.0, 1.0]))
 
 
 def test_embedding_full_width_beamsplitter():
     element = Beamsplitter(0, 1, np.pi / 4, 0.0)
-    assert np.allclose(element_embedding(element, 2), beamsplitter_matrix(np.pi / 4, 0.0))
+    assert np.allclose(embedding(element, 2), beamsplitter_matrix(np.pi / 4, 0.0))
 
 
 def test_embedding_action_on_vector():
     alpha = 0.8 - 0.2j
-    u = element_embedding(Beamsplitter(1, 2, np.pi / 4, 0.0), width=3)
+    u = embedding(Beamsplitter(1, 2, np.pi / 4, 0.0), width=3)
     out = u @ np.array([0.0, alpha, 0.0])
     assert np.allclose(out, [0.0, alpha / np.sqrt(2), 1j * alpha / np.sqrt(2)])
 
@@ -83,14 +89,25 @@ def test_embedding_is_unitary():
     rng = np.random.default_rng(11)
     for _ in range(50):
         element = Beamsplitter(0, 3, rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi, np.pi))
-        assert unitarity_defect(element_embedding(element, 5)) <= 1e-12
+        assert unitarity_defect(embedding(element, 5)) <= 1e-12
 
 
 def test_embedding_mode_out_of_range():
     with pytest.raises(DimensionError):
-        element_embedding(PhaseShifter(3, 0.1), width=3)
+        embedding(PhaseShifter(3, 0.1), width=3)
     with pytest.raises(DimensionError):
-        element_embedding(Beamsplitter(0, 5, 0.1, 0.2), width=3)
+        embedding(Beamsplitter(0, 5, 0.1, 0.2), width=3)
+
+
+def test_modes_must_be_integers():
+    with pytest.raises(DimensionError, match="integer"):
+        Beamsplitter(0.5, 2, 0.1, 0.2)
+    with pytest.raises(DimensionError, match="integer"):
+        Beamsplitter(0, 2.0, 0.1, 0.2)
+    with pytest.raises(DimensionError, match="integer"):
+        PhaseShifter(1.0, 0.3)
+    assert Beamsplitter(np.int64(0), np.intp(2), 0.1, 0.2).modes == (0, 2)
+    assert PhaseShifter(np.int32(1), 0.3).modes == (1,)
 
 
 def test_beamsplitter_modes_must_differ():

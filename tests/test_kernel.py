@@ -1,0 +1,145 @@
+"""The lowered, layer-scheduled circuit kernel.
+
+``element_loop`` is the element-by-element propagation that
+``apply_circuit`` and ``compile_circuit`` ran before circuits were
+lowered; it is kept here as the reference the kernel is checked against.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cohcirc import (
+    Beamsplitter,
+    Circuit,
+    PhaseShifter,
+    apply_circuit,
+    beamsplitter_matrix,
+    compile_circuit,
+    phaseshifter_factor,
+    random_unitary,
+    reck_decompose,
+)
+from cohcirc.linalg import max_abs
+from cohcirc.synthesis import propagate
+
+angles = st.floats(min_value=-2 * np.pi, max_value=2 * np.pi, allow_nan=False)
+
+
+def element_loop(circuit: Circuit, x) -> np.ndarray:
+    out = np.array(x, dtype=complex)
+    for element in circuit.elements:
+        if isinstance(element, Beamsplitter):
+            pair = [element.mode1, element.mode2]
+            out[pair] = beamsplitter_matrix(element.theta, element.phi) @ out[pair]
+        else:
+            out[element.mode] *= phaseshifter_factor(element.phi)
+    return out
+
+
+@st.composite
+def circuits(draw):
+    """Interleaved couplers and shifters on few modes, so pairs repeat and
+    appear in both orders (mode1 > mode2 included)."""
+    width = draw(st.integers(min_value=1, max_value=6))
+    mode = st.integers(min_value=0, max_value=width - 1)
+    shifter = st.builds(PhaseShifter, mode, angles)
+    if width == 1:
+        element = shifter
+    else:
+        coupler = st.tuples(mode, st.integers(1, width - 1), angles, angles).map(
+            lambda t: Beamsplitter(t[0], (t[0] + t[1]) % width, t[2], t[3])
+        )
+        element = st.one_of(coupler, shifter)
+    return Circuit(width, tuple(draw(st.lists(element, max_size=40))))
+
+
+def layers_in_list_order(circuit: Circuit) -> list[int]:
+    lowered = circuit.lowered
+    pair_layers = iter(lowered.pair_layer.tolist())
+    phase_layers = iter(lowered.phase_layer.tolist())
+    return [
+        next(pair_layers) if isinstance(e, Beamsplitter) else next(phase_layers)
+        for e in circuit.elements
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuit=circuits(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_kernel_matches_element_loop(circuit, seed):
+    rng = np.random.default_rng(seed)
+    width = circuit.width
+    vec = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+    block = rng.standard_normal((width, 3)) + 1j * rng.standard_normal((width, 3))
+    vec_before = vec.copy()
+
+    assert max_abs(propagate(circuit, vec) - element_loop(circuit, vec)) <= 1e-13
+    assert max_abs(apply_circuit(circuit, vec) - element_loop(circuit, vec)) <= 1e-13
+    assert max_abs(propagate(circuit, block) - element_loop(circuit, block)) <= 1e-13
+    identity = np.eye(width)
+    assert max_abs(compile_circuit(circuit) - element_loop(circuit, identity)) <= 1e-13
+    assert np.array_equal(vec, vec_before)
+
+
+@settings(max_examples=100, deadline=None)
+@given(circuit=circuits())
+def test_lowering_keeps_list_order_and_schedules_as_soon_as_possible(circuit):
+    # Each element sits one layer after the last earlier element sharing a
+    # mode, so a layer's elements act on disjoint modes.
+    free = [0] * circuit.width
+    expected = []
+    for element in circuit.elements:
+        at = max(free[m] for m in element.modes)
+        for m in element.modes:
+            free[m] = at + 1
+        expected.append(at)
+    assert layers_in_list_order(circuit) == expected
+    lowered = circuit.lowered
+    couplers = [e for e in circuit.elements if isinstance(e, Beamsplitter)]
+    shifters = [e for e in circuit.elements if isinstance(e, PhaseShifter)]
+    assert lowered.pairs.tolist() == [list(e.modes) for e in couplers]
+    for block, e in zip(lowered.blocks, couplers):
+        assert np.array_equal(block, beamsplitter_matrix(e.theta, e.phi))
+    assert lowered.phase_modes.tolist() == [e.mode for e in shifters]
+    assert np.array_equal(
+        lowered.phase_factors, [phaseshifter_factor(e.phi) for e in shifters]
+    )
+    for src, _, dst in circuit.lowered.steps:
+        assert len(set(dst.tolist())) == len(dst)
+        assert set(src.ravel().tolist()) == set(dst.tolist())
+
+
+def test_lowering_is_kept_on_the_instance():
+    circuit = reck_decompose(random_unitary(5, np.random.default_rng(40)))
+    twin = Circuit(circuit.width, circuit.elements)
+    lowered = circuit.lowered
+    assert circuit.lowered is lowered
+    assert circuit == twin
+    assert hash(circuit) == hash(twin)
+    assert repr(circuit) == repr(twin)
+
+
+def test_empty_and_idle_circuits_are_the_identity_exactly():
+    assert np.array_equal(compile_circuit(Circuit(4)), np.eye(4))
+    idle = reck_decompose(np.eye(6), full_mesh=True)
+    assert idle.beamsplitter_count == 15
+    assert np.array_equal(compile_circuit(idle), np.eye(6))
+    vec = np.array([1.5 - 2j, 0.25j, -3.0, 0.0, 1e-300, 7.0 + 7.0j])
+    assert np.array_equal(apply_circuit(idle, vec), vec)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 33])
+def test_reck_schedule_depth(n):
+    u = random_unitary(n, np.random.default_rng(41 + n))
+    lowered = reck_decompose(u).lowered
+    assert len(lowered.pair_layer) == n * (n - 1) // 2
+    assert len(np.unique(lowered.pair_layer)) <= 2 * n - 3
+    assert len(lowered.steps) <= 2 * n - 2
+
+
+def test_round_trip_stays_tight_up_to_128_modes():
+    rng = np.random.default_rng(42)
+    for n in (16, 64, 128):
+        u = random_unitary(n, rng)
+        assert max_abs(compile_circuit(reck_decompose(u)) - u) <= 1e-14
