@@ -22,7 +22,7 @@ from .engine import (
     pad_vacuum,
 )
 from .errors import ContractionError, DimensionError, NotPSDError, SynthesisError
-from .linalg import is_unitary, psd_sqrt, random_unitary, spectral_norm, svd
+from .linalg import is_unitary, psd_sqrt, random_unitary, spectral_norm
 from .protocols import (
     BellcatQuery,
     BellcatResult,
@@ -93,7 +93,6 @@ __all__ = [
     "search_unitary_explicit",
     "spectral_norm",
     "success_probability",
-    "svd",
 ]
 
 __version__ = "0.1.0"

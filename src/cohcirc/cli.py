@@ -11,14 +11,17 @@ port columns are 1-based.  Exit codes: 0 success, 1 parse/IO error,
 from __future__ import annotations
 
 import argparse
+import cmath
+import contextlib
 import csv
+import math
 import sys
 
 import numpy as np
 
 from . import linalg, protocols
 from .engine import apply_circuit, mean_photon_number
-from .errors import ContractionError, DimensionError, NotPSDError, SynthesisError
+from .errors import ContractionError, DimensionError, NonFiniteError, SynthesisError
 from .formats import (
     ParseError,
     read_amplitudes,
@@ -28,7 +31,7 @@ from .formats import (
 )
 from .synthesis import compile_circuit, dilate, reck_decompose
 
-DOMAIN_ERRORS = (DimensionError, ContractionError, SynthesisError, NotPSDError)
+DOMAIN_ERRORS = (DimensionError, ContractionError, SynthesisError, NonFiniteError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,9 +45,12 @@ def parse_complex(text: str) -> complex:
     if len(parts) != 2:
         raise ParseError(f"expected 're,im', got {text!r}")
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        value = complex(float(parts[0]), float(parts[1]))
     except ValueError:
         raise ParseError(f"cannot parse complex value {text!r}") from None
+    if not cmath.isfinite(value):
+        raise ParseError(f"complex value must be finite, got {text!r}")
+    return value
 
 
 def parse_complex_list(text: str) -> tuple[complex, ...]:
@@ -58,11 +64,26 @@ def parse_complex_pair(text: str) -> tuple[complex, complex]:
     parts = text.split(",")
     if len(parts) != 4:
         raise ParseError(f"expected 're,im,re,im', got {text!r}")
-    try:
-        values = [float(p) for p in parts]
-    except ValueError:
-        raise ParseError(f"cannot parse complex pair {text!r}") from None
-    return complex(values[0], values[1]), complex(values[2], values[3])
+    return parse_complex(",".join(parts[:2])), parse_complex(",".join(parts[2:]))
+
+
+def _flag_type(convert, accept, expected: str):
+    """argparse ``type`` converting with ``convert`` and checking ``accept``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+_count = _flag_type(int, lambda v: v >= 0, "a non-negative integer")
+_positive = _flag_type(float, lambda v: 0 < v < math.inf, "a finite positive number")
 
 
 def _print_amplitudes(out, starred: np.ndarray) -> None:
@@ -126,34 +147,24 @@ def cmd_search(args) -> int:
         raise ParseError(f"--n {args.n} does not match {len(references)} references")
     spec = protocols.SearchSpec(references, parse_complex(args.data), c=args.c)
     analytic = protocols.analytic_success_probability(spec)
-    matches = [j for j, r in enumerate(spec.references, start=1) if r == spec.data]
-    true_index = matches[0] if len(matches) == 1 else None
+    true_index = spec.match
 
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    clicks_out = (
-        open(args.clicks_out, "w", newline="", encoding="utf-8")
-        if args.clicks_out
-        else None
-    )
-    try:
-        writer = csv.writer(out)
+    with contextlib.ExitStack() as files:
+        out, clicks_out = (
+            files.enter_context(open(path, "w", newline="", encoding="utf-8")) if path else None
+            for path in (args.out, args.clicks_out)
+        )
+        writer = csv.writer(out or sys.stdout)
+        click_writer = csv.writer(clicks_out) if clicks_out else None
         writer.writerow(["trial", "identified", "clicked_ports", "p_succ_analytic"])
-        click_writer = None
-        if clicks_out is not None:
-            click_writer = csv.writer(clicks_out)
+        if click_writer is not None:
             click_writer.writerow(["trial", "port", "clicked"])
         successes = 0
         for trial in range(args.trials):
             outcome = protocols.run_search(spec, args.seed + trial, mode=args.mode)
-            clicked = [str(r.port + 1) for r in outcome.clicks if r.clicked]
-            writer.writerow(
-                [
-                    trial,
-                    outcome.identified if outcome.identified is not None else "",
-                    ";".join(clicked),
-                    f"{analytic:.12g}",
-                ]
-            )
+            clicked = ";".join(str(r.port + 1) for r in outcome.clicks if r.clicked)
+            identified = "" if outcome.identified is None else outcome.identified
+            writer.writerow([trial, identified, clicked, f"{analytic:.12g}"])
             if click_writer is not None:
                 for record in outcome.clicks:
                     click_writer.writerow([trial, record.port + 1, int(record.clicked)])
@@ -161,11 +172,6 @@ def cmd_search(args) -> int:
                 successes += outcome.identified == true_index
             else:
                 successes += outcome.identified is not None
-    finally:
-        if args.out:
-            out.close()
-        if clicks_out is not None:
-            clicks_out.close()
     empirical = successes / args.trials if args.trials else float("nan")
     print(
         f"trials={args.trials} empirical_success={empirical:.6f} "
@@ -194,9 +200,9 @@ def cmd_bellcat(args) -> int:
         print(f"max_alpha={result.max_alpha:.12g}")
         print(f"kernel_residual={result.kernel_residual:.3e}")
         return 0
-    alpha = parse_complex(args.alpha)
-    if result.max_alpha > 0:
-        sigma = abs(alpha) / result.max_alpha
+    # Name the map's largest singular value when it is known and finite.
+    sigma = abs(query.alpha) / result.max_alpha if result.max_alpha > 0 else math.inf
+    if math.isfinite(sigma):
         print(f"infeasible (largest singular value {sigma:.12g} exceeds 1)")
     else:
         print("infeasible (no contraction maps these inputs onto the targets)")
@@ -214,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="decompose a matrix file into a circuit file")
     p.add_argument("matrix", help="input matrix file")
     p.add_argument("out", help="output circuit file")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_positive, default=1e-10)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("run", help="apply a circuit file to an amplitudes file")
@@ -226,9 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refs", required=True, help="references as 're,im;re,im;...'")
     p.add_argument("--data", required=True, help="unknown datum as 're,im'")
     p.add_argument("--n", type=int, default=None, help="expected reference count")
-    p.add_argument("--c", type=float, default=None, help="comparison scale")
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--c", type=_positive, default=None, help="comparison scale")
+    p.add_argument("--trials", type=_count, default=1)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument(
         "--mode", choices=protocols.SEARCH_MODES, default=protocols.DILATION
     )

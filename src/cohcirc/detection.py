@@ -1,11 +1,12 @@
 """Photodiode click model for coherent outputs.
 
-Detectors are threshold detectors: they report only "at least one
-photon", which on a coherent state |beta> happens with probability
-1 - exp(-|beta|^2).  Sampling uses numpy's default PCG64 generator
-(``np.random.default_rng``) with a 64-bit seed, drawing one uniform per
-port in port order, so a seed fixes the whole click record bit for bit.
-Per-trial determinism comes from seeding each trial with seed + index.
+Detectors are ideal threshold detectors: unit efficiency and no dark
+counts.  They report only "at least one photon", which on a coherent
+state |beta> happens with probability 1 - exp(-|beta|^2).  Sampling
+uses numpy's default PCG64 generator (``np.random.default_rng``) with a
+64-bit seed, drawing one uniform per port in port order, so a seed fixes
+the whole click record bit for bit.  Per-trial determinism comes from
+seeding each trial with seed + index.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .engine import as_amplitudes
-from .errors import DimensionError
+from .errors import DimensionError, NonFiniteError
 
 
 @dataclass(frozen=True)
@@ -27,29 +28,20 @@ class ClickRecord:
     probability: float
 
 
-def click_probability(
-    beta: complex, efficiency: float = 1.0, dark_count_prob: float = 0.0
-) -> float:
-    """Probability of at least one photoelectron from coherent amplitude beta.
-
-    efficiency scales the mean photon number; dark_count_prob is the
-    click probability on vacuum.  Both default to the ideal detector.
-    """
+def click_probability(beta: complex) -> float:
+    """Probability of at least one photoelectron from coherent amplitude beta."""
     beta = complex(beta)
     if not cmath.isfinite(beta):
-        raise ValueError("amplitude must be finite")
-    p = -np.expm1(-efficiency * abs(beta) ** 2)
-    if dark_count_prob:
-        p = dark_count_prob + (1.0 - dark_count_prob) * p
-    return float(p)
+        raise NonFiniteError("amplitude must be finite")
+    try:
+        mean = abs(beta) ** 2
+    except OverflowError:  # a mean photon number beyond the double range
+        return 1.0
+    return float(-np.expm1(-mean))
 
 
 def sample_clicks(
-    amplitudes,
-    ports: Sequence[int] | Iterable[int],
-    seed: int,
-    efficiency: float = 1.0,
-    dark_count_prob: float = 0.0,
+    amplitudes, ports: Sequence[int] | Iterable[int], seed: int
 ) -> list[ClickRecord]:
     """Independent Bernoulli click draws on ``ports``, reproducible by seed."""
     vec = as_amplitudes(amplitudes)
@@ -60,6 +52,6 @@ def sample_clicks(
     rng = np.random.default_rng(seed)
     records = []
     for port in ports:
-        p = click_probability(vec[port], efficiency, dark_count_prob)
+        p = click_probability(vec[port])
         records.append(ClickRecord(port, bool(rng.random() < p), p))
     return records

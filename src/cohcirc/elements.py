@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, NonFiniteError
 
 
 # Modes index arrays, so they must be integers (numpy integer scalars too).
@@ -46,7 +46,7 @@ class Beamsplitter:
         if self.mode1 == self.mode2:
             raise DimensionError("beamsplitter modes must be distinct")
         if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-            raise ValueError("beamsplitter angles must be finite")
+            raise NonFiniteError("beamsplitter angles must be finite")
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class PhaseShifter:
         if self.mode < 0:
             raise DimensionError("phase shifter mode must be non-negative")
         if not math.isfinite(self.phi):
-            raise ValueError("phase shifter angle must be finite")
+            raise NonFiniteError("phase shifter angle must be finite")
 
 
 OpticalElement = Union[Beamsplitter, PhaseShifter]

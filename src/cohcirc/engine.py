@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .errors import DimensionError
+from .errors import DimensionError, NonFiniteError
 from .synthesis import Circuit, propagate
 
 
@@ -23,7 +23,7 @@ def as_amplitudes(a) -> np.ndarray:
     if v.ndim != 1:
         raise DimensionError(f"expected a 1-D amplitude vector, got ndim={v.ndim}")
     if not np.all(np.isfinite(v)):
-        raise ValueError("amplitudes must be finite")
+        raise NonFiniteError("amplitudes must be finite")
     return v
 
 

@@ -13,5 +13,9 @@ class SynthesisError(ValueError):
     """Target matrix cannot be realized by the requested synthesis route."""
 
 
+class NonFiniteError(ValueError):
+    """A value is nan or infinite, or overflows to infinity."""
+
+
 class ContractionError(ValueError):
     """Matrix has a singular value above one and is not physically realizable."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, NotPSDError
+from .errors import DimensionError, NonFiniteError, NotPSDError
 
 UNITARY_TOL = 1e-10
 PSD_CLIP_TOL = 1e-12
@@ -24,7 +24,7 @@ def as_matrix(m) -> np.ndarray:
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise DimensionError(f"matrix must be at least 1x1, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
+        raise NonFiniteError("matrix entries must be finite")
     return a
 
 
@@ -43,11 +43,6 @@ def unitarity_defect(m) -> float:
 
 def is_unitary(m, tol: float = UNITARY_TOL) -> bool:
     return unitarity_defect(m) <= tol
-
-
-def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Factor M = V @ diag(D) @ U with V, U unitary and D descending."""
-    return np.linalg.svd(as_matrix(m))
 
 
 def spectral_norm(m) -> float:

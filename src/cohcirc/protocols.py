@@ -14,6 +14,7 @@ being handed to the engine.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -22,7 +23,7 @@ import numpy as np
 from . import linalg
 from .detection import ClickRecord, click_probability, sample_clicks
 from .engine import apply_circuit, apply_matrix, pad_vacuum
-from .errors import ContractionError, DimensionError
+from .errors import ContractionError, DimensionError, NonFiniteError, SynthesisError
 from .synthesis import Circuit, DilationPorts, dilate, reck_decompose
 
 DILATION = "dilation"
@@ -58,7 +59,7 @@ def generate_phase_states(n: int, alpha: complex, input_port: int = 1) -> np.nda
     if not 0 <= port < n:
         raise DimensionError(f"input port {input_port} out of range for width {n}")
     physical_in = np.zeros(n, dtype=complex)
-    physical_in[port] = np.sqrt(n) * complex(alpha)
+    physical_in[port] = math.sqrt(n) * complex(alpha)
     return apply_circuit(_dft_circuit(n), physical_in.conj())
 
 
@@ -132,7 +133,8 @@ class SearchSpec:
 
     ``data`` is the unknown amplitude, promised to match one of
     ``references``; ``c`` is the comparison scale (defaults to the
-    maximum 1/sqrt(N+1)).
+    maximum 1/sqrt(N+1)).  ``match`` is the 1-based index of the single
+    reference equal to ``data``, or None when none or several are.
     """
 
     references: tuple[complex, ...]
@@ -146,7 +148,9 @@ class SearchSpec:
         if len(refs) < 2:
             raise DimensionError("need at least two reference states")
         c_max = max_comparison_scale(len(refs))
-        scale = c_max if self.c is None else float(self.c)
+        scale = float(c_max if self.c is None else self.c)
+        if not math.isfinite(scale):
+            raise NonFiniteError(f"comparison scale must be finite, got {scale}")
         if scale > c_max + 1e-12:
             raise ContractionError(
                 f"comparison scale {scale:.12g} exceeds the contraction bound "
@@ -166,6 +170,11 @@ class SearchSpec:
     def n(self) -> int:
         return len(self.references)
 
+    @property
+    def match(self) -> int | None:
+        matches = [j for j, r in enumerate(self.references, start=1) if r == self.data]
+        return matches[0] if len(matches) == 1 else None
+
 
 @dataclass(frozen=True)
 class SearchOutcome:
@@ -174,14 +183,13 @@ class SearchOutcome:
     ``identified`` is the 1-based reference index (which equals the
     0-based comparison-port index carrying data - reference), or None
     when the click pattern is inconclusive.  ``retained`` holds the
-    untouched group-B starred amplitudes; ``consumed_ports`` lists the
-    measured group-A ports.
+    untouched group-B starred amplitudes; the group-A ports 0..N are
+    consumed by the measurement.
     """
 
     identified: int | None
     clicks: tuple[ClickRecord, ...]
     retained: np.ndarray
-    consumed_ports: tuple[int, ...]
     mode: str
 
 
@@ -189,9 +197,9 @@ class SearchOutcome:
 def _search_operator(n: int, c: float, mode: str) -> np.ndarray:
     if mode == EXPLICIT:
         if n != 2:
-            raise ValueError("explicit mode is only defined for two references")
+            raise DimensionError("explicit mode is only defined for two references")
         if abs(c - max_comparison_scale(2)) > 1e-12:
-            raise ValueError("explicit mode fixes the comparison scale to 1/sqrt(3)")
+            raise SynthesisError("explicit mode fixes the comparison scale to 1/sqrt(3)")
         u = search_unitary_explicit()
     elif mode == DILATION:
         u, _ = dilate(comparison_map(n, c))
@@ -213,25 +221,18 @@ def run_search(spec: SearchSpec, seed: int, mode: str = DILATION) -> SearchOutco
     unitary and samples threshold detectors on the comparison ports
     1..N, where port j carries c*(data* - ref_j*).  A click at port j
     rules reference j out; the datum is identified as reference k
-    exactly when every port but k clicked and port k stayed silent.
+    exactly when port k is the only comparison port that stayed silent.
     Any other pattern is inconclusive.  The group-B ports N+1..2N+1 are
     never measured and are returned for the restoration pass.
     """
     u = _search_operator(spec.n, spec.c, mode)
     out = apply_matrix(u, _search_input(spec))
-    comparison_ports = tuple(range(1, spec.n + 1))
-    clicks = tuple(sample_clicks(out, comparison_ports, seed))
-    clicked = {record.port for record in clicks if record.clicked}
-    identified = None
-    for k in comparison_ports:
-        if k not in clicked and clicked == set(comparison_ports) - {k}:
-            identified = k
-            break
+    clicks = tuple(sample_clicks(out, range(1, spec.n + 1), seed))
+    silent = [record.port for record in clicks if not record.clicked]
     return SearchOutcome(
-        identified=identified,
+        identified=silent[0] if len(silent) == 1 else None,
         clicks=clicks,
         retained=out[spec.n + 1 :],
-        consumed_ports=tuple(range(spec.n + 1)),
         mode=mode,
     )
 
@@ -270,10 +271,9 @@ def analytic_success_probability(spec: SearchSpec) -> float:
     than the matching one; reduces to ``success_probability`` for two
     references.  NaN when the datum matches no (or several) references.
     """
-    matches = [j for j, r in enumerate(spec.references, start=1) if r == spec.data]
-    if len(matches) != 1:
+    k = spec.match
+    if k is None:
         return float("nan")
-    k = matches[0]
     p = 1.0
     for j, ref in enumerate(spec.references, start=1):
         if j != k:
@@ -335,10 +335,11 @@ def bellcat_feasibility(query: BellcatQuery, bell_state: str = "B00") -> Bellcat
 
     Looks for K with K v1 = t1 and K v2 = t2 where (t1, t2) is the
     +-alpha sign pattern of the requested Bell-cat component states.
-    Linearly independent inputs determine K uniquely by inversion;
-    feasibility is then sigma_max(K) <= 1 + 1e-12.  Dependent inputs
-    (v2 = lambda*v1) are feasible only when lambda = -1, with the
-    minimal-norm rank-one K, provided sqrt(2)*|alpha| <= |v1|.
+    Linearly independent inputs determine K uniquely by inversion.
+    Dependent inputs (v2 = lambda*v1) need lambda*t1 = t2 = -t1: unless
+    lambda = -1 only the zero map (alpha = 0) works, and for lambda = -1
+    K is the minimal-norm rank-one map.  Either way K = alpha * unit_k,
+    and feasibility is |alpha| * sigma_max(unit_k) <= 1 + 1e-12.
     """
     if bell_state not in BELL_TARGETS:
         raise ValueError(f"unknown Bell-cat label {bell_state!r}")
@@ -347,42 +348,45 @@ def bellcat_feasibility(query: BellcatQuery, bell_state: str = "B00") -> Bellcat
     if v1.shape != (2,) or v2.shape != (2,):
         raise DimensionError("component vectors must have exactly two modes")
     alpha = complex(query.alpha)
+    v = np.array([v1, v2])
+    parts = v.view(float).tolist()
+    for name, values in (("v1", parts[0]), ("v2", parts[1]), ("alpha", (alpha.real, alpha.imag))):
+        if not math.isfinite(math.hypot(*values)):
+            raise NonFiniteError(f"{name} must be finite, with a finite norm")
     pat1, pat2 = (np.array(p, dtype=complex) for p in BELL_TARGETS[bell_state])
-    norm1 = float(np.linalg.norm(v1))
-    norm2 = float(np.linalg.norm(v2))
-    infeasible = BellcatResult(False, None, 0.0, float("nan"))
 
-    if norm1 == 0.0 or norm2 == 0.0:
-        # K annihilates the zero input, so its target must vanish too.
-        if alpha != 0:
-            return infeasible
-        return BellcatResult(True, np.zeros((2, 2), dtype=complex), 0.0, 0.0)
+    # Powers of two scale exactly.  Row j of w is v_j * 2**-e_j, whose
+    # largest part lies in [0.5, 1), and y is v on the larger of the two
+    # scales, so no product below overflows; unit_k is 2**e times the map
+    # for alpha = 1.
+    e1, e2 = (math.frexp(max(map(abs, values)))[1] for values in parts)
+    w, y = (
+        np.ldexp(v.view(float), shift).view(complex) for shift in ([[-e1], [-e2]], -max(e1, e2))
+    )
+    norm1 = np.linalg.norm(w[0])
+    det = w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0]
+    if abs(det) > _DEPENDENCE_TOL * norm1 * np.linalg.norm(w[1]):
+        # K = P V^-1 = P diag(2**-e1, 2**-e2) W^-1.
+        e = min(e1, e2)
+        patterns = np.column_stack([pat1, pat2]) * np.ldexp(1.0, [e - e1, e - e2])
+        unit_k = patterns @ np.linalg.inv(w.T)
+    else:
+        a, b = y[:, int(np.argmax(np.abs(y[0])))]
+        anti = norm1 > 0 and abs(a + b) <= _DEPENDENCE_TOL * max(abs(a), abs(b))
+        if alpha == 0 or not anti:
+            feasible = alpha == 0
+            return BellcatResult(
+                feasible,
+                np.zeros((2, 2), dtype=complex) if feasible else None,
+                math.ldexp(norm1 / np.sqrt(2), e1) if anti else 0.0,
+                0.0 if feasible else float("nan"),
+            )
+        e = e1
+        unit_k = np.outer(pat1, w[0].conj()) / norm1**2
 
-    det = v1[0] * v2[1] - v1[1] * v2[0]
-    if abs(det) > _DEPENDENCE_TOL * norm1 * norm2:
-        # Independent inputs: K is unique and scales linearly with alpha.
-        unit_k = np.column_stack([pat1, pat2]) @ np.linalg.inv(np.column_stack([v1, v2]))
-        sigma_unit = linalg.spectral_norm(unit_k)
-        max_alpha = 1.0 / sigma_unit
-        if abs(alpha) * sigma_unit > 1.0 + _FEASIBILITY_SLACK:
-            return BellcatResult(False, None, max_alpha, float("nan"))
-        k = alpha * unit_k
-        residual = float(np.max(np.abs(k @ (v1 + v2))))
-        return BellcatResult(True, k, max_alpha, residual)
-
-    # Dependent inputs: v2 = lambda * v1 forces lambda * t1 = t2 = -t1.
-    pivot = int(np.argmax(np.abs(v1)))
-    lam = v2[pivot] / v1[pivot]
-    sign_ok = abs(lam + 1.0) <= _DEPENDENCE_TOL * max(abs(lam), 1.0)
-    if alpha == 0:
-        zero = np.zeros((2, 2), dtype=complex)
-        return BellcatResult(True, zero, norm1 / np.sqrt(2) if sign_ok else 0.0, 0.0)
-    if not sign_ok:
-        return infeasible
-    t1 = alpha * pat1
-    k = np.outer(t1, v1.conj()) / norm1**2
-    max_alpha = norm1 / np.sqrt(2)
-    if np.sqrt(2) * abs(alpha) > norm1 * (1.0 + _FEASIBILITY_SLACK):
+    max_alpha = math.ldexp(1.0 / linalg.spectral_norm(unit_k), e)
+    if abs(alpha) > max_alpha * (1.0 + _FEASIBILITY_SLACK):
         return BellcatResult(False, None, max_alpha, float("nan"))
-    residual = float(np.max(np.abs(k @ (v1 + v2))))
-    return BellcatResult(True, k, max_alpha, residual)
+    k = complex(math.ldexp(alpha.real, -e), math.ldexp(alpha.imag, -e)) * unit_k
+    residual = float(np.max(np.abs(k @ (y[0] + y[1]))))
+    return BellcatResult(True, k, max_alpha, math.ldexp(residual, max(e1, e2)))

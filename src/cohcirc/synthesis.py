@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import attrgetter
 
@@ -55,95 +55,65 @@ class Circuit:
     def phase_shifter_count(self) -> int:
         return sum(isinstance(e, PhaseShifter) for e in self.elements)
 
-    def followed_by(self, other: "Circuit") -> "Circuit":
-        if other.width != self.width:
-            raise DimensionError("circuit widths differ")
-        return Circuit(self.width, self.elements + other.elements)
-
     @cached_property
-    def lowered(self) -> "LoweredCircuit":
-        """The circuit as arrays, computed on first use and kept on the instance."""
-        return _lower(self)
+    def lowered(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """The circuit as layer steps, computed on first use and kept on the instance.
 
+        Each element is scheduled one layer past the last layer of any
+        earlier element sharing a mode, so the elements of a layer act on
+        disjoint modes and running the layers in order keeps list order as
+        physical order.  Each layer is one ``(src, coef, dst)`` step, which
+        sets rows ``dst`` of the state to
+        ``coef[0] * x[src[0]] + coef[1] * x[src[1]]``: two rows per
+        beamsplitter and one per phase shifter (whose ``coef[1]`` is 0).
+        """
+        free = [0] * self.width  # first layer in which each mode is idle
+        couplers, pair_layer, shifters, phase_layer = [], [], [], []
+        for element in self.elements:
+            if isinstance(element, Beamsplitter):
+                i, j = element.modes
+                at = free[i] if free[i] > free[j] else free[j]
+                free[i] = free[j] = at + 1
+                couplers.append(element)
+                pair_layer.append(at)
+            else:
+                (i,) = element.modes
+                phase_layer.append(free[i])
+                free[i] += 1
+                shifters.append(element)
 
-@dataclass(frozen=True, eq=False)
-class LoweredCircuit:
-    """A circuit as index and coefficient arrays, scheduled into layers.
+        def column(items, attr, dtype):
+            return np.fromiter(map(attrgetter(attr), items), dtype, len(items))
 
-    ``pairs`` and ``blocks`` hold the beamsplitters' modes and 2x2
-    matrices, ``phase_modes`` and ``phase_factors`` the phase shifters',
-    each in list order.  ``pair_layer`` and ``phase_layer`` are the
-    schedule: an element's layer is one past the last layer of any
-    earlier element sharing a mode, so the elements of a layer act on
-    disjoint modes and running the layers in order keeps list order as
-    physical order.  ``steps`` holds one ``(src, coef, dst)`` per layer,
-    which sets rows ``dst`` of the state to
-    ``coef[0] * x[src[0]] + coef[1] * x[src[1]]``: two rows per
-    beamsplitter and one per phase shifter (whose ``coef[1]`` is 0).
-    """
+        pairs = np.stack(
+            [column(couplers, "mode1", np.intp), column(couplers, "mode2", np.intp)], 1
+        )
+        blocks = beamsplitter_matrix(
+            column(couplers, "theta", float), column(couplers, "phi", float)
+        )
+        phase_modes = column(shifters, "mode", np.intp)
+        phase_factors = phaseshifter_factor(column(shifters, "phi", float))
 
-    pairs: np.ndarray
-    blocks: np.ndarray
-    pair_layer: np.ndarray
-    phase_modes: np.ndarray
-    phase_factors: np.ndarray
-    phase_layer: np.ndarray
-    steps: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-
-
-def _lower(circuit: Circuit) -> LoweredCircuit:
-    free = [0] * circuit.width  # first layer in which each mode is idle
-    couplers, pair_layer, shifters, phase_layer = [], [], [], []
-    for element in circuit.elements:
-        if isinstance(element, Beamsplitter):
-            i, j = element.modes
-            at = free[i] if free[i] > free[j] else free[j]
-            free[i] = free[j] = at + 1
-            couplers.append(element)
-            pair_layer.append(at)
-        else:
-            (i,) = element.modes
-            phase_layer.append(free[i])
-            free[i] += 1
-            shifters.append(element)
-
-    def column(items, attr, dtype):
-        return np.fromiter(map(attrgetter(attr), items), dtype, len(items))
-
-    pairs = np.stack(
-        [column(couplers, "mode1", np.intp), column(couplers, "mode2", np.intp)], 1
-    )
-    blocks = beamsplitter_matrix(
-        column(couplers, "theta", float), column(couplers, "phi", float)
-    )
-    pair_layer = np.array(pair_layer, dtype=np.intp)
-    phase_modes = column(shifters, "mode", np.intp)
-    phase_factors = phaseshifter_factor(column(shifters, "phi", float))
-    phase_layer = np.array(phase_layer, dtype=np.intp)
-
-    # One row per updated amplitude, holding its (dst, other source) indices
-    # and (own, other) coefficients: rows i and j of each beamsplitter and
-    # row p of each phase shifter.
-    sources = np.concatenate([pairs, pairs[:, ::-1], np.stack([phase_modes] * 2, 1)])
-    coefs = np.concatenate(
-        [
-            blocks[:, 0, :],
-            blocks[:, 1, ::-1],
-            np.stack([phase_factors, np.zeros_like(phase_factors)], 1),
-        ]
-    )
-    row_layer = np.concatenate([pair_layer, pair_layer, phase_layer])
-    order = np.argsort(row_layer, kind="stable")
-    src = sources.T[:, order]
-    coef = coefs.T[:, order]
-    bounds = np.cumsum(np.bincount(row_layer)).tolist()
-    steps = tuple(
-        (src[:, lo:hi], coef[:, lo:hi], src[0, lo:hi])
-        for lo, hi in zip([0] + bounds[:-1], bounds)
-    )
-    return LoweredCircuit(
-        pairs, blocks, pair_layer, phase_modes, phase_factors, phase_layer, steps
-    )
+        # One row per updated amplitude, holding its (dst, other source)
+        # indices and (own, other) coefficients: rows i and j of each
+        # beamsplitter and row p of each phase shifter.
+        sources = np.concatenate([pairs, pairs[:, ::-1], np.stack([phase_modes] * 2, 1)])
+        coefs = np.concatenate(
+            [
+                blocks[:, 0, :],
+                blocks[:, 1, ::-1],
+                np.stack([phase_factors, np.zeros_like(phase_factors)], 1),
+            ]
+        )
+        row_layer = np.array(pair_layer * 2 + phase_layer, dtype=np.intp)
+        order = np.argsort(row_layer, kind="stable")
+        src = sources.T[:, order]
+        coef = coefs.T[:, order]
+        bounds = np.cumsum(np.bincount(row_layer)).tolist()
+        return tuple(
+            (src[:, lo:hi], coef[:, lo:hi], src[0, lo:hi])
+            for lo, hi in zip([0] + bounds[:-1], bounds)
+        )
 
 
 def propagate(circuit: Circuit, x) -> np.ndarray:
@@ -153,7 +123,7 @@ def propagate(circuit: Circuit, x) -> np.ndarray:
     """
     out = np.array(x, dtype=complex)
     vector = out.ndim == 1
-    for src, coef, dst in circuit.lowered.steps:
+    for src, coef, dst in circuit.lowered:
         gathered = out.take(src, axis=0)
         gathered *= coef if vector else coef[:, :, None]
         out[dst] = gathered[0] + gathered[1]
@@ -172,15 +142,13 @@ def invert(circuit: Circuit) -> Circuit:
     (same phi) and each phase shifter phi -> -phi, which is the same
     physical array traversed from the inverse direction.
     """
-    inverted: list[OpticalElement] = []
-    for element in reversed(circuit.elements):
-        if isinstance(element, Beamsplitter):
-            inverted.append(
-                Beamsplitter(element.mode1, element.mode2, -element.theta, element.phi)
-            )
-        else:
-            inverted.append(PhaseShifter(element.mode, -element.phi))
-    return Circuit(circuit.width, tuple(inverted))
+    return Circuit(
+        circuit.width,
+        tuple(
+            replace(e, theta=-e.theta) if isinstance(e, Beamsplitter) else replace(e, phi=-e.phi)
+            for e in reversed(circuit.elements)
+        ),
+    )
 
 
 def reck_decompose(u, tol: float = linalg.UNITARY_TOL, full_mesh: bool = False) -> Circuit:
@@ -270,7 +238,7 @@ def dilate(k, tol: float = linalg.UNITARY_TOL) -> tuple[np.ndarray, DilationPort
     :class:`ContractionError` when the largest singular value exceeds
     1 + tol.  Identity padding keeps the contraction property only when
     the padded-in rows/columns do not overlap K's support, so the
-    padded matrix is checked again.
+    largest singular value of the padded matrix is checked again.
     """
     kk = linalg.as_matrix(k)
     m_out, n_in = kk.shape
@@ -284,20 +252,18 @@ def dilate(k, tol: float = linalg.UNITARY_TOL) -> tuple[np.ndarray, DilationPort
     padded[:m_out, :n_in] = kk
     for i in range(min(m_out, n_in), size):
         padded[i, i] = 1.0
-    if size > min(m_out, n_in):
-        sigma_padded = linalg.spectral_norm(padded)
-        if sigma_padded > 1 + tol:
-            raise ContractionError(
-                f"identity padding raises the largest singular value to "
-                f"{sigma_padded:.12g}; pad the matrix with zero rows/columns "
-                "yourself if the extra ports are not pass-through"
-            )
     # Both complement roots come from one SVD of K; computing them with two
     # independent eigendecompositions breaks the exchange identity
     # K (I-K^dag K)^{1/2} = (I-K K^dag)^{1/2} K by ~sqrt(eps) when a
     # singular value sits at 1, which would leave the block matrix
     # unitary only to ~1e-8.
     v, s, wh = np.linalg.svd(padded)
+    if size > min(m_out, n_in) and s[0] > 1 + tol:
+        raise ContractionError(
+            f"identity padding raises the largest singular value to "
+            f"{s[0]:.12g}; pad the matrix with zero rows/columns "
+            "yourself if the extra ports are not pass-through"
+        )
     r = np.sqrt(np.clip(1.0 - s**2, 0.0, None))
     out_complement = (v * r) @ v.conj().T
     in_complement = (wh.conj().T * r) @ wh

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from cohcirc import comparison_map, search_unitary_explicit
 from cohcirc.cli import main
@@ -211,3 +212,84 @@ def test_run_rejects_non_finite_amplitudes(tmp_path, capsys):
     assert main(["run", str(circuit_file), str(amps_file)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: amplitudes:")
+
+
+SEARCH = ["search", "--refs", "0,0;1,0", "--data", "0,0"]
+BELLCAT = ["bellcat", "--v1", "1,0,0,0", "--v2", "0,0,1,0"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (BELLCAT + ["--alpha", "nan,0"], 1),
+        (["bellcat", "--v1", "nan,0,0,0", "--v2", "0,0,1,0", "--alpha", "0.1,0"], 1),
+        (["bellcat", "--v1", "1,0,0,0", "--v2=0,0,-inf,0", "--alpha", "0.1,0"], 1),
+        (["bellcat", "--v1=1.7e308,1.7e308,0,0", "--v2=0,0,1,0", "--alpha=1,0"], 2),
+        (["qkd", "--n", "4", "--alpha", "nan,0"], 1),
+        (["qkd", "--n", "4", "--alpha", "1e308,0"], 2),
+        (["search", "--refs", "0,0;1,0", "--data", "inf,0"], 1),
+        (["search", "--refs", "0,0;nan,1", "--data", "0,0"], 1),
+        (SEARCH + ["--seed=-5"], 1),
+        (SEARCH + ["--seed", "1.5"], 1),
+        (SEARCH + ["--trials=-3"], 1),
+        (SEARCH + ["--trials", "many"], 1),
+        (SEARCH + ["--c", "nan"], 1),
+        (SEARCH + ["--c", "inf"], 1),
+        (SEARCH + ["--c", "0"], 1),
+        (SEARCH + ["--c=-0.1"], 1),
+        (["search", "--refs", "0,0;1,0;2,0", "--data", "0,0", "--mode", "explicit"], 2),
+        (SEARCH + ["--mode", "explicit", "--c", "0.1"], 2),
+    ],
+)
+def test_bad_input_exits_with_one_error_line(argv, code, capsys):
+    assert main(argv) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-10"])
+def test_synth_rejects_bad_tolerance(tmp_path, capsys, tol):
+    # With --tol nan the identity used to fail the unitarity test and go
+    # down the dilation route.
+    matrix_file = tmp_path / "m.txt"
+    write_matrix(matrix_file, np.eye(2))
+    assert main(["synth", str(matrix_file), str(tmp_path / "c.txt"), f"--tol={tol}"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: argument --tol"), err
+
+
+def test_search_click_probability_does_not_overflow(capsys):
+    assert main(["search", "--refs", "0,0;0,2.7e154", "--data", "0,0"]) == 0
+    captured = capsys.readouterr()
+    assert "analytic_success=1.000000" in captured.err
+    assert captured.out.splitlines()[1] == "0,1,3,1"
+
+
+def test_bellcat_independent_inputs_far_from_unit_scale(capsys):
+    argv = ["bellcat", "--v1=1e200,0,0,0", "--v2=0,0,1e200,0", "--alpha=1,0"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("feasible\n")
+    assert "max_alpha=5e+199\n" in out
+
+
+def test_bellcat_dependent_inputs_near_overflow(capsys):
+    argv = ["bellcat", "--v1=0,0,8e307,8e307", "--v2=0,0,8e307,1e308", "--alpha=0,0"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "max_alpha=0\n" in out
+    assert "kernel_residual=0.000e+00" in out
+    assert "inf" not in out and "nan" not in out
+
+
+def test_bellcat_inputs_far_apart_in_scale(capsys):
+    argv = ["bellcat", "--v1=1e-320,0,0,0", "--v2=0,0,1,0"]
+    assert main(argv + ["--alpha=0,0"]) == 0
+    out = capsys.readouterr().out
+    max_alpha = float(out.split("max_alpha=")[1].split()[0])
+    assert max_alpha == pytest.approx(1e-320 / np.sqrt(2), rel=1e-3)
+    # |alpha| / max_alpha overflows, so only the verdict is printed.
+    assert main(argv + ["--alpha=1e308,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("infeasible (no contraction maps")
+    assert captured.err == ""

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cohcirc import click_probability, sample_clicks, success_probability
-from cohcirc.errors import DimensionError
+from cohcirc.errors import DimensionError, NonFiniteError
 
 
 def test_vacuum_never_clicks():
@@ -36,17 +36,6 @@ def test_click_probability_range(beta):
     assert (p == 0.0) == (abs(beta) ** 2 == 0.0)  # |b|^2 may underflow
     if abs(beta) ** 2 <= 36:  # beyond this 1 - exp(-|b|^2) rounds to 1.0
         assert p < 1.0
-
-
-def test_dark_counts_click_on_vacuum():
-    assert click_probability(0.0, dark_count_prob=0.02) == pytest.approx(0.02)
-
-
-def test_efficiency_scales_mean_photons():
-    beta = 1.7
-    assert click_probability(beta, efficiency=0.5) == pytest.approx(
-        click_probability(beta * np.sqrt(0.5))
-    )
 
 
 def test_zero_amplitudes_never_click():
@@ -86,3 +75,14 @@ def test_empirical_click_frequency(p):
 def test_sample_clicks_rejects_bad_port():
     with pytest.raises(DimensionError):
         sample_clicks([1.0], [1], seed=0)
+
+
+def test_click_probability_saturates_instead_of_overflowing():
+    assert click_probability(2.7e154j) == 1.0
+    assert click_probability(complex(1.7e308, 1.7e308)) == 1.0
+
+
+@pytest.mark.parametrize("beta", [np.nan, complex(0, np.inf)])
+def test_click_probability_rejects_non_finite(beta):
+    with pytest.raises(NonFiniteError):
+        click_probability(beta)

@@ -11,7 +11,7 @@ from cohcirc import (
     compile_circuit,
     phaseshifter_factor,
 )
-from cohcirc.errors import DimensionError
+from cohcirc.errors import DimensionError, NonFiniteError
 from cohcirc.linalg import unitarity_defect
 
 angles = st.floats(min_value=-4 * np.pi, max_value=4 * np.pi, allow_nan=False)
@@ -116,7 +116,7 @@ def test_beamsplitter_modes_must_differ():
 
 
 def test_angles_must_be_finite():
-    with pytest.raises(ValueError):
+    with pytest.raises(NonFiniteError):
         Beamsplitter(0, 1, np.nan, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(NonFiniteError):
         PhaseShifter(0, np.inf)

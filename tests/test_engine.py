@@ -16,7 +16,7 @@ from cohcirc import (
     random_unitary,
     reck_decompose,
 )
-from cohcirc.errors import DimensionError
+from cohcirc.errors import DimensionError, NonFiniteError
 from conftest import random_amplitudes, random_circuit, random_contraction
 
 finite_complex = st.complex_numbers(
@@ -144,3 +144,10 @@ def test_pad_then_dilated_unitary_reproduces_contraction():
     vec = random_amplitudes(rng, 3)
     out = apply_matrix(u, pad_vacuum(vec, ports.width))
     assert np.max(np.abs(out[:3] - apply_matrix(k, vec))) <= 1e-12
+
+
+def test_non_finite_operands_raise_non_finite_error():
+    with pytest.raises(NonFiniteError):
+        apply_matrix(np.eye(2), [1.0, np.nan])
+    with pytest.raises(NonFiniteError):
+        apply_matrix([[1.0, np.inf], [0.0, 1.0]], [1.0, 0.0])

@@ -55,16 +55,6 @@ def circuits(draw):
     return Circuit(width, tuple(draw(st.lists(element, max_size=40))))
 
 
-def layers_in_list_order(circuit: Circuit) -> list[int]:
-    lowered = circuit.lowered
-    pair_layers = iter(lowered.pair_layer.tolist())
-    phase_layers = iter(lowered.phase_layer.tolist())
-    return [
-        next(pair_layers) if isinstance(e, Beamsplitter) else next(phase_layers)
-        for e in circuit.elements
-    ]
-
-
 @settings(max_examples=200, deadline=None)
 @given(circuit=circuits(), seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_kernel_matches_element_loop(circuit, seed):
@@ -82,32 +72,32 @@ def test_kernel_matches_element_loop(circuit, seed):
     assert np.array_equal(vec, vec_before)
 
 
-@settings(max_examples=100, deadline=None)
-@given(circuit=circuits())
-def test_lowering_keeps_list_order_and_schedules_as_soon_as_possible(circuit):
-    # Each element sits one layer after the last earlier element sharing a
-    # mode, so a layer's elements act on disjoint modes.
+def asap_layers(circuit: Circuit) -> list[int]:
+    """Each element's layer: one past the last earlier element sharing a mode."""
     free = [0] * circuit.width
-    expected = []
+    layers = []
     for element in circuit.elements:
         at = max(free[m] for m in element.modes)
         for m in element.modes:
             free[m] = at + 1
-        expected.append(at)
-    assert layers_in_list_order(circuit) == expected
-    lowered = circuit.lowered
-    couplers = [e for e in circuit.elements if isinstance(e, Beamsplitter)]
-    shifters = [e for e in circuit.elements if isinstance(e, PhaseShifter)]
-    assert lowered.pairs.tolist() == [list(e.modes) for e in couplers]
-    for block, e in zip(lowered.blocks, couplers):
-        assert np.array_equal(block, beamsplitter_matrix(e.theta, e.phi))
-    assert lowered.phase_modes.tolist() == [e.mode for e in shifters]
-    assert np.array_equal(
-        lowered.phase_factors, [phaseshifter_factor(e.phi) for e in shifters]
-    )
-    for src, _, dst in circuit.lowered.steps:
-        assert len(set(dst.tolist())) == len(dst)
-        assert set(src.ravel().tolist()) == set(dst.tolist())
+        layers.append(at)
+    return layers
+
+
+@settings(max_examples=100, deadline=None)
+@given(circuit=circuits())
+def test_lowering_keeps_list_order_and_schedules_as_soon_as_possible(circuit):
+    # Layer L updates exactly the modes of the elements scheduled in L, each
+    # once, so a layer's elements act on disjoint modes.
+    layers = asap_layers(circuit)
+    steps = circuit.lowered
+    assert len(steps) == max(layers, default=-1) + 1
+    for layer, (src, coef, dst) in enumerate(steps):
+        modes = [m for e, at in zip(circuit.elements, layers) if at == layer for m in e.modes]
+        assert sorted(dst.tolist()) == sorted(modes)
+        assert len(set(modes)) == len(modes)
+        assert set(src.ravel().tolist()) == set(modes)
+        assert coef.shape == src.shape
 
 
 def test_lowering_is_kept_on_the_instance():
@@ -132,10 +122,12 @@ def test_empty_and_idle_circuits_are_the_identity_exactly():
 @pytest.mark.parametrize("n", [2, 3, 8, 33])
 def test_reck_schedule_depth(n):
     u = random_unitary(n, np.random.default_rng(41 + n))
-    lowered = reck_decompose(u).lowered
-    assert len(lowered.pair_layer) == n * (n - 1) // 2
-    assert len(np.unique(lowered.pair_layer)) <= 2 * n - 3
-    assert len(lowered.steps) <= 2 * n - 2
+    steps = reck_decompose(u).lowered
+    # Coupler rows mix two modes; phase-shifter rows read their own mode.
+    mixing = [src[0] != src[1] for src, _, _ in steps]
+    assert sum(int(m.sum()) for m in mixing) == n * (n - 1)
+    assert sum(bool(m.any()) for m in mixing) <= 2 * n - 3
+    assert len(steps) <= 2 * n - 2
 
 
 def test_round_trip_stays_tight_up_to_128_modes():

@@ -23,7 +23,7 @@ from cohcirc import (
     search_unitary_explicit,
     success_probability,
 )
-from cohcirc.errors import ContractionError, DimensionError
+from cohcirc.errors import ContractionError, DimensionError, NonFiniteError
 from cohcirc.linalg import max_abs, unitarity_defect
 from cohcirc.protocols import DILATION, EXPLICIT
 
@@ -175,6 +175,22 @@ def test_search_spec_needs_two_references():
         SearchSpec((1.0,), 1.0)
 
 
+def test_search_spec_match():
+    assert SearchSpec((1.0, 2.0, 3.0), 2.0).match == 2
+    assert SearchSpec((1.0, 2.0, 3.0), 2.5).match is None
+    with pytest.warns(UserWarning, match="coincide"):
+        duplicated = SearchSpec((1.0, 2.0, 1.0), 1.0)
+    assert duplicated.match is None
+    with pytest.warns(UserWarning, match="coincide"):
+        assert SearchSpec((1.0, 2.0, 2.0), 1.0).match == 1
+
+
+@pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
+def test_search_spec_rejects_non_finite_scale(c):
+    with pytest.raises(NonFiniteError):
+        SearchSpec((1.0, 2.0), 1.0, c=c)
+
+
 def test_run_search_is_deterministic():
     spec = SearchSpec((0.0, 2.5), 0.0)
     first = run_search(spec, seed=42)
@@ -297,7 +313,6 @@ def test_restore_rejects_bad_retained_width():
         identified=outcome.identified,
         clicks=outcome.clicks,
         retained=outcome.retained[:-1],
-        consumed_ports=outcome.consumed_ports,
         mode=outcome.mode,
     )
     with pytest.raises(DimensionError):
@@ -444,3 +459,34 @@ def test_bellcat_alternative_target_pattern():
 def test_bellcat_unknown_target_rejected():
     with pytest.raises(ValueError):
         bellcat_feasibility(BellcatQuery((1, 0), (0, 1), 0.1), bell_state="B22")
+
+
+@pytest.mark.parametrize(
+    "v1, v2, alpha",
+    [
+        ((np.nan, 0), (0, 1), 0.1),
+        ((1, 0), (0, np.inf), 0.1),
+        ((1, 0), (0, 1), complex(0, np.nan)),
+        ((1.7e308 + 1.7e308j, 0), (0, 1), 0.1),  # |v1| overflows
+    ],
+)
+def test_bellcat_rejects_non_finite_inputs(v1, v2, alpha):
+    with pytest.raises(NonFiniteError):
+        bellcat_feasibility(BellcatQuery(v1, v2, alpha))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1.0, 1e150, 1e300])
+def test_bellcat_is_scale_covariant(scale):
+    # Scaling both inputs by s scales max_alpha by s and K by 1/s.
+    v1, v2 = np.array([1.0, 0.5j]), np.array([-0.25, 2.0])
+    unit = bellcat_feasibility(BellcatQuery(v1, v2, 0.1))
+    scaled = bellcat_feasibility(BellcatQuery(scale * v1, scale * v2, 0.1))
+    assert scaled.max_alpha == pytest.approx(unit.max_alpha * scale, rel=1e-12)
+    assert scaled.feasible == (0.1 <= unit.max_alpha * scale)
+    if scaled.feasible:
+        assert np.allclose(scaled.contraction * scale, unit.contraction, rtol=1e-12, atol=0)
+    anti_unit = bellcat_feasibility(BellcatQuery(v1, -v1, 0.1))
+    anti = bellcat_feasibility(BellcatQuery(scale * v1, -scale * v1, 0.1 * scale))
+    assert anti.feasible
+    assert anti.max_alpha == pytest.approx(scale * anti_unit.max_alpha, rel=1e-12)
+    assert np.allclose(anti.contraction, anti_unit.contraction, rtol=1e-12, atol=0)
