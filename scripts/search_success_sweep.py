@@ -7,6 +7,8 @@ Usage: python scripts/search_success_sweep.py [--trials 20000] [--seed 0]
 import argparse
 import math
 
+import numpy as np
+
 from cohcirc import SearchSpec, run_search, success_probability
 
 
@@ -28,10 +30,8 @@ def main():
         d = math.sqrt(dist_sq)
         spec = SearchSpec((0.0, d), 0.0)
         base = args.seed + 1_000_000 * case
-        hits = sum(
-            run_search(spec, seed=base + t).identified == 1
-            for t in range(args.trials)
-        )
+        identified = run_search(spec, seed=base, trials=args.trials).identified
+        hits = np.count_nonzero(identified == 1)
         p = success_probability(0.0, d)
         empirical = hits / args.trials
         sigma = math.sqrt(max(p * (1 - p), 1e-12) / args.trials)

@@ -26,6 +26,7 @@ from .linalg import is_unitary, psd_sqrt, random_unitary, spectral_norm
 from .protocols import (
     BellcatQuery,
     BellcatResult,
+    SearchBatch,
     SearchOutcome,
     SearchSpec,
     analytic_success_probability,
@@ -62,6 +63,7 @@ __all__ = [
     "NotPSDError",
     "OpticalElement",
     "PhaseShifter",
+    "SearchBatch",
     "SearchOutcome",
     "SearchSpec",
     "SynthesisError",

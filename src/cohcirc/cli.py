@@ -14,6 +14,7 @@ import argparse
 import cmath
 import contextlib
 import csv
+import itertools
 import math
 import sys
 
@@ -32,6 +33,8 @@ from .formats import (
 from .synthesis import compile_circuit, dilate, reck_decompose
 
 DOMAIN_ERRORS = (DimensionError, ContractionError, SynthesisError, NonFiniteError)
+# Trials per batch in ``search``: bounds the memory of long runs.
+SEARCH_BLOCK = 1 << 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,6 +86,7 @@ def _flag_type(convert, accept, expected: str):
 
 
 _count = _flag_type(int, lambda v: v >= 0, "a non-negative integer")
+_positive_count = _flag_type(int, lambda v: v > 0, "a positive integer")
 _positive = _flag_type(float, lambda v: 0 < v < math.inf, "a finite positive number")
 
 
@@ -145,9 +149,14 @@ def cmd_search(args) -> int:
     references = parse_complex_list(args.refs)
     if args.n is not None and args.n != len(references):
         raise ParseError(f"--n {args.n} does not match {len(references)} references")
+    if args.seed + args.trials > 2**64:
+        raise ParseError(
+            f"--seed {args.seed} with --trials {args.trials} needs seeds beyond 2**64 - 1"
+        )
     spec = protocols.SearchSpec(references, parse_complex(args.data), c=args.c)
     analytic = protocols.analytic_success_probability(spec)
     true_index = spec.match
+    labels = [str(port + 1) for port in range(1, spec.n + 1)]
 
     with contextlib.ExitStack() as files:
         out, clicks_out = (
@@ -160,19 +169,36 @@ def cmd_search(args) -> int:
         if click_writer is not None:
             click_writer.writerow(["trial", "port", "clicked"])
         successes = 0
-        for trial in range(args.trials):
-            outcome = protocols.run_search(spec, args.seed + trial, mode=args.mode)
-            clicked = ";".join(str(r.port + 1) for r in outcome.clicks if r.clicked)
-            identified = "" if outcome.identified is None else outcome.identified
-            writer.writerow([trial, identified, clicked, f"{analytic:.12g}"])
+        for start in range(0, args.trials, SEARCH_BLOCK):
+            trials = range(start, min(start + SEARCH_BLOCK, args.trials))
+            batch = protocols.run_search(
+                spec, args.seed + start, mode=args.mode, trials=len(trials)
+            )
+            # Each trial's clicked port labels, joined by ";".
+            clicked = np.where(batch.clicked[:, 0], labels[0], "")
+            for label, column in zip(labels[1:], batch.clicked.T[1:]):
+                clicked = np.char.add(clicked, np.where(column, ";" + label, ""))
+            writer.writerows(
+                zip(
+                    trials,
+                    [k or "" for k in batch.identified.tolist()],
+                    np.char.lstrip(clicked, ";").tolist(),
+                    itertools.repeat(f"{analytic:.12g}"),
+                )
+            )
             if click_writer is not None:
-                for record in outcome.clicks:
-                    click_writer.writerow([trial, record.port + 1, int(record.clicked)])
-            if true_index is not None:
-                successes += outcome.identified == true_index
+                click_writer.writerows(
+                    zip(
+                        (trial for trial in trials for _ in labels),
+                        itertools.cycle(labels),
+                        batch.clicked.ravel().view(np.int8).tolist(),
+                    )
+                )
+            if true_index is None:
+                successes += np.count_nonzero(batch.identified)
             else:
-                successes += outcome.identified is not None
-    empirical = successes / args.trials if args.trials else float("nan")
+                successes += np.count_nonzero(batch.identified == true_index)
+    empirical = successes / args.trials
     print(
         f"trials={args.trials} empirical_success={empirical:.6f} "
         f"analytic_success={analytic:.6f}",
@@ -233,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="unknown datum as 're,im'")
     p.add_argument("--n", type=int, default=None, help="expected reference count")
     p.add_argument("--c", type=_positive, default=None, help="comparison scale")
-    p.add_argument("--trials", type=_count, default=1)
+    p.add_argument("--trials", type=_positive_count, default=1)
     p.add_argument("--seed", type=_count, default=0)
     p.add_argument(
         "--mode", choices=protocols.SEARCH_MODES, default=protocols.DILATION

@@ -22,7 +22,7 @@ def as_amplitudes(a) -> np.ndarray:
     v = np.asarray(a, dtype=complex)
     if v.ndim != 1:
         raise DimensionError(f"expected a 1-D amplitude vector, got ndim={v.ndim}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NonFiniteError("amplitudes must be finite")
     return v
 
@@ -35,7 +35,11 @@ def apply_matrix(m, amplitudes) -> np.ndarray:
         raise DimensionError(
             f"matrix has {mat.shape[1]} columns but the vector has width {vec.shape[0]}"
         )
-    return mat @ vec
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = mat @ vec
+    if not np.isfinite(out).all():
+        raise NonFiniteError("propagated amplitudes overflow")
+    return out
 
 
 def apply_circuit(circuit: Circuit, amplitudes) -> np.ndarray:

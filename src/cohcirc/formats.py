@@ -59,9 +59,10 @@ def parse_matrix(text: str) -> np.ndarray:
             f"matrix: expected {2 * rows * cols} numbers for a {rows}x{cols} "
             f"matrix, found {len(tokens)}"
         )
-    values = [_float(tok, "matrix entry") for tok in tokens]
-    flat = np.array(values[0::2]) + 1j * np.array(values[1::2])
-    _check_finite(flat, "matrix")
+    values = np.array([_float(tok, "matrix entry") for tok in tokens])
+    # Checked before combining: 1j * inf would warn about an invalid product.
+    _check_finite(values, "matrix")
+    flat = values[0::2] + 1j * values[1::2]
     return flat.reshape(rows, cols)
 
 

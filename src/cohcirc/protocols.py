@@ -17,6 +17,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -163,7 +164,7 @@ class SearchSpec:
                     warnings.warn(
                         f"references {i + 1} and {j + 1} coincide and can never be "
                         "told apart",
-                        stacklevel=2,
+                        stacklevel=3,
                     )
 
     @property
@@ -210,12 +211,30 @@ def _search_operator(n: int, c: float, mode: str) -> np.ndarray:
 
 
 def _search_input(spec: SearchSpec) -> np.ndarray:
-    starred = np.conj(np.array([spec.data, *spec.references], dtype=complex))
-    return pad_vacuum(starred, 2 * (spec.n + 1))
+    starred = np.zeros(2 * (spec.n + 1), dtype=complex)
+    starred[: spec.n + 1] = np.conj((spec.data, *spec.references))
+    return starred
 
 
-def run_search(spec: SearchSpec, seed: int, mode: str = DILATION) -> SearchOutcome:
-    """One seeded search trial.
+class SearchBatch(NamedTuple):
+    """Results of the seeded search trials seed, seed + 1, ...
+
+    ``identified[t]`` is trial t's 1-based reference index, 0 when its
+    click pattern is inconclusive; ``clicked[t, j]`` tells whether
+    comparison port j + 1 clicked.  ``retained`` and ``mode`` are as in
+    ``SearchOutcome``, the same for every trial.
+    """
+
+    identified: np.ndarray
+    clicked: np.ndarray
+    retained: np.ndarray
+    mode: str
+
+
+def run_search(
+    spec: SearchSpec, seed: int, mode: str = DILATION, trials: int | None = None
+) -> SearchOutcome | SearchBatch:
+    """Seeded search trials.
 
     Propagates (data, references, dark ports) through the identification
     unitary and samples threshold detectors on the comparison ports
@@ -224,17 +243,31 @@ def run_search(spec: SearchSpec, seed: int, mode: str = DILATION) -> SearchOutco
     exactly when port k is the only comparison port that stayed silent.
     Any other pattern is inconclusive.  The group-B ports N+1..2N+1 are
     never measured and are returned for the restoration pass.
+
+    With ``trials=None`` runs one trial seeded with ``seed`` and returns
+    a ``SearchOutcome``.  With an integer runs the trials seeded with
+    seed, ..., seed + trials - 1 (all in [0, 2**64)) and returns a
+    ``SearchBatch`` whose row t equals the single trial ``seed + t``.
     """
     u = _search_operator(spec.n, spec.c, mode)
+    ports = range(1, spec.n + 1)
+    if trials is None:
+        # The operator is cached read-only and the input is built here, so
+        # only the output needs the finite check sample_clicks makes.
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = u @ _search_input(spec)
+        clicks = tuple(sample_clicks(out, ports, seed))
+        silent = [record.port for record in clicks if not record.clicked]
+        return SearchOutcome(
+            identified=silent[0] if len(silent) == 1 else None,
+            clicks=clicks,
+            retained=out[spec.n + 1 :],
+            mode=mode,
+        )
     out = apply_matrix(u, _search_input(spec))
-    clicks = tuple(sample_clicks(out, range(1, spec.n + 1), seed))
-    silent = [record.port for record in clicks if not record.clicked]
-    return SearchOutcome(
-        identified=silent[0] if len(silent) == 1 else None,
-        clicks=clicks,
-        retained=out[spec.n + 1 :],
-        mode=mode,
-    )
+    silent = ~sample_clicks(out, ports, seed, trials=trials)
+    identified = np.where(silent.sum(axis=1) == 1, silent.argmax(axis=1) + 1, 0)
+    return SearchBatch(identified, ~silent, out[spec.n + 1 :], mode)
 
 
 def restore(outcome: SearchOutcome, spec: SearchSpec) -> np.ndarray:

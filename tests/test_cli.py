@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cohcirc import comparison_map, search_unitary_explicit
+from cohcirc import SearchSpec, cli, comparison_map, run_search, search_unitary_explicit
 from cohcirc.cli import main
 from cohcirc.formats import read_circuit, write_amplitudes, write_matrix
 
@@ -151,6 +151,28 @@ def test_search_click_records(tmp_path):
     assert len(lines) == 7  # two comparison ports per trial
 
 
+def test_search_blocks_keep_per_trial_records(tmp_path, monkeypatch):
+    refs = "0,0;1.5,0;0,1.5"
+    argv = ["search", "--refs", refs, "--data", "0,1.5", "--trials", "20", "--seed", "3"]
+    written = []
+    for block in (1 << 16, 7):
+        monkeypatch.setattr(cli, "SEARCH_BLOCK", block)
+        out, clicks = tmp_path / f"s{block}.csv", tmp_path / f"k{block}.csv"
+        assert main(argv + ["--out", str(out), "--clicks-out", str(clicks)]) == 0
+        written.append((out.read_text(), clicks.read_text()))
+    assert written[0] == written[1]
+    spec = SearchSpec((0, 1.5, 1.5j), 1.5j)
+    rows = [line.split(",") for line in written[0][0].splitlines()[1:]]
+    click_rows = [line.split(",") for line in written[0][1].splitlines()[1:]]
+    for t in range(20):
+        outcome = run_search(spec, seed=3 + t)
+        clicked = [str(r.port + 1) for r in outcome.clicks if r.clicked]
+        assert rows[t][:3] == [str(t), str(outcome.identified or ""), ";".join(clicked)]
+        assert click_rows[3 * t : 3 * t + 3] == [
+            [str(t), str(r.port + 1), str(int(r.clicked))] for r in outcome.clicks
+        ]
+
+
 def test_search_rejects_inconsistent_n():
     assert main(["search", "--refs", "1,0;2,0", "--data", "1,0", "--n", "3"]) == 1
 
@@ -204,6 +226,15 @@ def test_synth_rejects_non_finite_matrix_entries(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: matrix:")
 
 
+@pytest.mark.filterwarnings("error")
+def test_synth_rejects_infinite_imaginary_part_without_warning(tmp_path, capsys):
+    matrix_file = tmp_path / "m.txt"
+    matrix_file.write_text("1 1\n0 inf\n")
+    assert main(["synth", str(matrix_file), str(tmp_path / "c.txt")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: matrix:")
+
+
 def test_run_rejects_non_finite_amplitudes(tmp_path, capsys):
     circuit_file = tmp_path / "c.txt"
     amps_file = tmp_path / "a.txt"
@@ -239,8 +270,12 @@ BELLCAT = ["bellcat", "--v1", "1,0,0,0", "--v2", "0,0,1,0"]
         (SEARCH + ["--c=-0.1"], 1),
         (["search", "--refs", "0,0;1,0;2,0", "--data", "0,0", "--mode", "explicit"], 2),
         (SEARCH + ["--mode", "explicit", "--c", "0.1"], 2),
+        (SEARCH + ["--trials", "0"], 1),
+        (SEARCH + [f"--seed={2**64 - 2}", "--trials=3"], 1),
+        (["search", "--refs=1e308,1e308;1e308,1.7e308", "--data=1e308,1.7e308"], 2),
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_bad_input_exits_with_one_error_line(argv, code, capsys):
     assert main(argv) == code
     err = capsys.readouterr().err.splitlines()

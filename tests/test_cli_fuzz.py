@@ -65,3 +65,31 @@ def test_search_never_escapes(refs, data, c, trials, seed, mode, capsys):
     argv = ["search", "--refs=" + ";".join(refs), f"--data={data}", f"--trials={trials}"]
     argv += [f"--seed={seed}", f"--mode={mode}"] + ([] if c is None else [f"--c={c}"])
     run(argv, capsys)
+
+
+small = st.floats(min_value=-0.5, max_value=0.5).map(repr)
+entry = st.one_of(number, small)
+
+
+def numbers_file(header: str, count: int, data) -> str:
+    values = data.draw(st.lists(entry, min_size=count, max_size=count))
+    return "\n".join([header] + [" ".join(values[i : i + 2]) for i in range(0, count, 2)]) + "\n"
+
+
+@fuzz
+@given(
+    rows=st.integers(min_value=1, max_value=4),
+    cols=st.integers(min_value=1, max_value=4),
+    match_width=st.booleans(),
+    data=st.data(),
+)
+def test_synth_then_run_never_escapes(rows, cols, match_width, data, tmp_path, capsys):
+    matrix, circuit, amplitudes = (tmp_path / name for name in ("m.txt", "c.txt", "a.txt"))
+    circuit.unlink(missing_ok=True)
+    matrix.write_text(numbers_file(f"{rows} {cols}", 2 * rows * cols, data))
+    run(["synth", str(matrix), str(circuit)], capsys)
+    width = data.draw(st.integers(min_value=1, max_value=8))
+    if match_width and circuit.exists():
+        width = int(circuit.read_text().split("\n", 1)[0].removeprefix("width="))
+    amplitudes.write_text(numbers_file(f"n={width}", 2 * width, data))
+    run(["run", str(circuit), str(amplitudes)], capsys)

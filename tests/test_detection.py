@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cohcirc import click_probability, sample_clicks, success_probability
+from cohcirc import click_probability, detection, sample_clicks, success_probability
+from cohcirc.detection import _uniforms
 from cohcirc.errors import DimensionError, NonFiniteError
 
 
@@ -70,6 +71,37 @@ def test_empirical_click_frequency(p):
     )
     bound = 4 * np.sqrt(p * (1 - p) / trials)
     assert abs(hits / trials - p) <= bound
+
+
+def seed_bands(trials: int) -> list[int]:
+    """First seeds of bands around 0, 2**32, 2**63 and the top of 2**64."""
+    return [0, 2**32 - trials // 2, 2**63 - trials // 2, 2**64 - trials]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9])
+@pytest.mark.parametrize("start", seed_bands(3125))
+def test_batch_uniforms_equal_default_rng(start, n, monkeypatch):
+    # 16 cases of 3125 seeds: about 5e4 seeds in all, seeded in passes of
+    # 1024 so that pass boundaries are crossed too.
+    monkeypatch.setattr(detection, "_CHUNK", 1024)
+    expected = [np.random.default_rng(start + t).random(n) for t in range(3125)]
+    np.testing.assert_array_equal(_uniforms(start, 3125, n), expected)
+
+
+@pytest.mark.parametrize("seed, trials", [(-1, 1), (2**64 - 2, 3), (2**64, 1), (0, -1)])
+def test_batch_uniforms_reject_seeds_beyond_64_bits(seed, trials):
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        _uniforms(seed, trials, 2)
+
+
+@pytest.mark.parametrize("trials", [0, 3, 1000])
+def test_batch_clicks_equal_single_draws(trials):
+    amps = np.array([0.7, 1.1j, 0.0, 0.3 - 0.4j])
+    batch = sample_clicks(amps, [3, 0, 1, 2], seed=500, trials=trials)
+    assert batch.shape == (trials, 4) and batch.dtype == bool
+    for t, row in enumerate(batch):
+        records = sample_clicks(amps, [3, 0, 1, 2], seed=500 + t)
+        assert row.tolist() == [r.clicked for r in records]
 
 
 def test_sample_clicks_rejects_bad_port():

@@ -151,3 +151,9 @@ def test_non_finite_operands_raise_non_finite_error():
         apply_matrix(np.eye(2), [1.0, np.nan])
     with pytest.raises(NonFiniteError):
         apply_matrix([[1.0, np.inf], [0.0, 1.0]], [1.0, 0.0])
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_product_raises_non_finite_error():
+    with pytest.raises(NonFiniteError, match="overflow"):
+        apply_matrix([[1.0, 1.0], [0.0, 1.0]], [1.7e308, 1.7e308])

@@ -166,8 +166,9 @@ def test_search_spec_rejects_oversized_scale():
 
 
 def test_search_spec_warns_on_degenerate_references():
-    with pytest.warns(UserWarning, match="coincide"):
+    with pytest.warns(UserWarning, match="coincide") as caught:
         SearchSpec((1.0, 1.0), 1.0)
+    assert caught[0].filename == __file__
 
 
 def test_search_spec_needs_two_references():
@@ -243,6 +244,27 @@ def test_run_search_modes_share_click_statistics():
         b = run_search(spec, seed=100 + t, mode=DILATION)
         assert a.identified == b.identified
         assert [r.clicked for r in a.clicks] == [r.clicked for r in b.clicks]
+
+
+@pytest.mark.parametrize(
+    "refs, data, mode",
+    [
+        ((0.0, 1.7), 0.0, DILATION),
+        ((0.3, 1.9j), 1.9j, EXPLICIT),
+        ((0.0, 2.0, 2.0j, -1.0 + 1.0j), 2.0j, DILATION),
+        ((0.0, 0.8), 0.4, DILATION),
+    ],
+)
+def test_run_search_batch_equals_single_trials(refs, data, mode):
+    spec = SearchSpec(refs, data)
+    batch = run_search(spec, seed=2**40 - 1000, mode=mode, trials=2000)
+    assert batch.identified.shape == (2000,) and batch.clicked.shape == (2000, len(refs))
+    assert batch.mode == mode
+    for t in range(2000):
+        single = run_search(spec, seed=2**40 - 1000 + t, mode=mode)
+        assert (single.identified or 0) == batch.identified[t]
+        assert [r.clicked for r in single.clicks] == batch.clicked[t].tolist()
+        np.testing.assert_array_equal(single.retained, batch.retained)
 
 
 def test_explicit_mode_requires_two_references():
