@@ -64,13 +64,6 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 # limb's 32-bit halves.
 _MULT_HI, _MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
 _MULT_LO0, _MULT_LO1 = _MULT_LO & _LOW32, _MULT_LO >> _32
-# Trials seeded per pass: the temporaries of a pass (about 100 bytes per
-# trial) stay in cache, and memory stays bounded for any trial count.  On a
-# 2-vCPU x86 host 2**13 ran 1.45x faster per trial than one 2**16 pass.
-_CHUNK = 1 << 13
-# Below this many trials numpy's own generators, at about 20 us each, cost
-# less than the kernel's fixed 0.2 ms.
-_KERNEL_MIN_TRIALS = 8
 
 
 def _hashmix(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
@@ -130,18 +123,13 @@ def _uniforms(seed: int, trials: int, n: int) -> np.ndarray:
     seed, trials = operator.index(seed), operator.index(trials)
     if trials < 0 or seed < 0 or seed + trials > 2**64:
         raise ValueError(f"seeds {seed}..{seed + trials - 1} must lie in [0, 2**64)")
-    if trials < _KERNEL_MIN_TRIALS:
-        draws = [np.random.default_rng(seed + t).random(n) for t in range(trials)]
-        return np.array(draws).reshape(trials, n)
     out = np.empty((trials, n))
-    for start in range(0, trials, _CHUNK):
-        rows = out[start : start + _CHUNK]
-        hi, lo, inc_hi, inc_lo = _pcg_seeds(seed + start, len(rows))
+    hi, lo, inc_hi, inc_lo = _pcg_seeds(seed, trials)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    for j in range(n):
         hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-        for j in range(n):
-            hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-            x, rot = hi ^ lo, hi >> _58
-            rows[:, j] = (x >> rot | x << (-rot & _63)) >> _11
+        x, rot = hi ^ lo, hi >> _58
+        out[:, j] = (x >> rot | x << (-rot & _63)) >> _11
     out *= 2.0**-53
     return out
 

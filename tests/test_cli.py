@@ -155,7 +155,7 @@ def test_search_blocks_keep_per_trial_records(tmp_path, monkeypatch):
     refs = "0,0;1.5,0;0,1.5"
     argv = ["search", "--refs", refs, "--data", "0,1.5", "--trials", "20", "--seed", "3"]
     written = []
-    for block in (1 << 16, 7):
+    for block in (cli.SEARCH_BLOCK, 7):
         monkeypatch.setattr(cli, "SEARCH_BLOCK", block)
         out, clicks = tmp_path / f"s{block}.csv", tmp_path / f"k{block}.csv"
         assert main(argv + ["--out", str(out), "--clicks-out", str(clicks)]) == 0

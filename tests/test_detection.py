@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cohcirc import click_probability, detection, sample_clicks, success_probability
+from cohcirc import click_probability, sample_clicks, success_probability
 from cohcirc.detection import _uniforms
 from cohcirc.errors import DimensionError, NonFiniteError
 
@@ -80,10 +80,8 @@ def seed_bands(trials: int) -> list[int]:
 
 @pytest.mark.parametrize("n", [1, 2, 3, 9])
 @pytest.mark.parametrize("start", seed_bands(3125))
-def test_batch_uniforms_equal_default_rng(start, n, monkeypatch):
-    # 16 cases of 3125 seeds: about 5e4 seeds in all, seeded in passes of
-    # 1024 so that pass boundaries are crossed too.
-    monkeypatch.setattr(detection, "_CHUNK", 1024)
+def test_batch_uniforms_equal_default_rng(start, n):
+    # 16 cases of 3125 seeds: about 5e4 seeds in all.
     expected = [np.random.default_rng(start + t).random(n) for t in range(3125)]
     np.testing.assert_array_equal(_uniforms(start, 3125, n), expected)
 
