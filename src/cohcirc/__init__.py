@@ -21,8 +21,8 @@ from .engine import (
     mean_photon_number,
     pad_vacuum,
 )
-from .errors import ContractionError, DimensionError, NotPSDError, SynthesisError
-from .linalg import is_unitary, psd_sqrt, random_unitary, spectral_norm
+from .errors import ContractionError, DimensionError, SynthesisError
+from .linalg import is_unitary, random_unitary, spectral_norm
 from .protocols import (
     BellcatQuery,
     BellcatResult,
@@ -47,7 +47,6 @@ from .synthesis import (
     DilationPorts,
     compile_circuit,
     dilate,
-    invert,
     reck_decompose,
 )
 
@@ -60,7 +59,6 @@ __all__ = [
     "ContractionError",
     "DilationPorts",
     "DimensionError",
-    "NotPSDError",
     "OpticalElement",
     "PhaseShifter",
     "SearchBatch",
@@ -79,13 +77,11 @@ __all__ = [
     "dft_matrix",
     "dilate",
     "generate_phase_states",
-    "invert",
     "is_unitary",
     "max_comparison_scale",
     "mean_photon_number",
     "pad_vacuum",
     "phaseshifter_factor",
-    "psd_sqrt",
     "random_unitary",
     "reck_decompose",
     "restore",

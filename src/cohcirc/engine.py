@@ -27,6 +27,16 @@ def as_amplitudes(a) -> np.ndarray:
     return v
 
 
+def _finite(what: str, op, *operands):
+    """``op(*operands)`` on finite operands, without numpy's overflow
+    warnings; a result that overflows raises :class:`NonFiniteError`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = op(*operands)
+    if not np.isfinite(out).all():
+        raise NonFiniteError(f"{what} overflow")
+    return out
+
+
 def apply_matrix(m, amplitudes) -> np.ndarray:
     """b* = M a* for a matrix already expressed on starred amplitudes."""
     mat = linalg.as_matrix(m)
@@ -35,11 +45,7 @@ def apply_matrix(m, amplitudes) -> np.ndarray:
         raise DimensionError(
             f"matrix has {mat.shape[1]} columns but the vector has width {vec.shape[0]}"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = mat @ vec
-    if not np.isfinite(out).all():
-        raise NonFiniteError("propagated amplitudes overflow")
-    return out
+    return _finite("propagated amplitudes", np.matmul, mat, vec)
 
 
 def apply_circuit(circuit: Circuit, amplitudes) -> np.ndarray:
@@ -49,13 +55,13 @@ def apply_circuit(circuit: Circuit, amplitudes) -> np.ndarray:
         raise DimensionError(
             f"circuit width {circuit.width} does not match vector width {vec.shape[0]}"
         )
-    return propagate(circuit, vec)
+    return _finite("propagated amplitudes", propagate, circuit, vec)
 
 
 def mean_photon_number(amplitudes) -> float:
     """Total mean photon number sum |a_i|^2."""
     vec = as_amplitudes(amplitudes)
-    return float(np.sum(np.abs(vec) ** 2))
+    return float(_finite("mean photon number", lambda: np.sum(np.abs(vec) ** 2)))
 
 
 def pad_vacuum(amplitudes, new_width: int) -> np.ndarray:

@@ -5,10 +5,6 @@ class DimensionError(ValueError):
     """Operands have incompatible shapes or an index is out of range."""
 
 
-class NotPSDError(ValueError):
-    """Matrix is not Hermitian positive semidefinite within tolerance."""
-
-
 class SynthesisError(ValueError):
     """Target matrix cannot be realized by the requested synthesis route."""
 

@@ -13,10 +13,11 @@ being handed to the engine.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -46,21 +47,17 @@ def _dft_circuit(n: int) -> Circuit:
     return reck_decompose(dft_matrix(n).conj())
 
 
-def generate_phase_states(n: int, alpha: complex, input_port: int = 1) -> np.ndarray:
+def generate_phase_states(n: int, alpha: complex) -> np.ndarray:
     """Fan one coherent input out into the n phase states alpha*omega^k.
 
-    Simulates the synthesized DFT circuit fed with sqrt(n)*alpha on
-    ``input_port`` (0-based; the default second port yields
-    alpha*omega^k at port k, port 0 yields n identical alpha outputs).
-    Returns starred amplitudes of width n.
+    Simulates the synthesized DFT circuit fed with sqrt(n)*alpha on its
+    second port (the only one when n = 1), so port k (0-based) yields
+    alpha*omega^k.  Returns starred amplitudes of width n.
     """
     if n < 1:
         raise DimensionError("need at least one output state")
-    port = input_port if n > 1 else 0
-    if not 0 <= port < n:
-        raise DimensionError(f"input port {input_port} out of range for width {n}")
     physical_in = np.zeros(n, dtype=complex)
-    physical_in[port] = math.sqrt(n) * complex(alpha)
+    physical_in[min(1, n - 1)] = math.sqrt(n) * complex(alpha)
     return apply_circuit(_dft_circuit(n), physical_in.conj())
 
 
@@ -134,13 +131,16 @@ class SearchSpec:
 
     ``data`` is the unknown amplitude, promised to match one of
     ``references``; ``c`` is the comparison scale (defaults to the
-    maximum 1/sqrt(N+1)).  ``match`` is the 1-based index of the single
-    reference equal to ``data``, or None when none or several are.
+    maximum 1/sqrt(N+1)).  Two amplitudes a and b match when
+    |a - b| <= 1e-12 * s, where s is the largest modulus among the datum
+    and the references.  ``match`` is the 1-based index of the single
+    reference matching ``data``, or None when none or several do.
     """
 
     references: tuple[complex, ...]
     data: complex
     c: float | None = None
+    match: int | None = field(init=False)
 
     def __post_init__(self):
         refs = tuple(complex(r) for r in self.references)
@@ -158,23 +158,27 @@ class SearchSpec:
                 f"{c_max:.12g} for {len(refs)} references"
             )
         object.__setattr__(self, "c", scale)
-        for i in range(len(refs)):
-            for j in range(i + 1, len(refs)):
-                if refs[i] == refs[j]:
+        values = (self.data, *refs)
+        if not all(map(cmath.isfinite, values)):
+            raise NonFiniteError("the datum and the references must be finite")
+        # Powers of two scale exactly: compare with the largest real or
+        # imaginary part in [0.5, 1), where no difference or modulus overflows.
+        shift = -math.frexp(max(max(abs(z.real), abs(z.imag)) for z in values))[1]
+        unit = [complex(math.ldexp(z.real, shift), math.ldexp(z.imag, shift)) for z in values]
+        tol = 1e-12 * max(map(abs, unit))
+        matches = [j for j in range(1, len(unit)) if abs(unit[j] - unit[0]) <= tol]
+        object.__setattr__(self, "match", matches[0] if len(matches) == 1 else None)
+        for i in range(1, len(unit)):
+            for j in range(i + 1, len(unit)):
+                if abs(unit[j] - unit[i]) <= tol:
                     warnings.warn(
-                        f"references {i + 1} and {j + 1} coincide and can never be "
-                        "told apart",
+                        f"references {i} and {j} coincide and can never be told apart",
                         stacklevel=3,
                     )
 
     @property
     def n(self) -> int:
         return len(self.references)
-
-    @property
-    def match(self) -> int | None:
-        matches = [j for j, r in enumerate(self.references, start=1) if r == self.data]
-        return matches[0] if len(matches) == 1 else None
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 
@@ -135,22 +135,6 @@ def compile_circuit(circuit: Circuit) -> np.ndarray:
     return propagate(circuit, np.eye(circuit.width, dtype=complex))
 
 
-def invert(circuit: Circuit) -> Circuit:
-    """Circuit compiling to the conjugate transpose of the original.
-
-    Element order is reversed; each beamsplitter gets theta -> -theta
-    (same phi) and each phase shifter phi -> -phi, which is the same
-    physical array traversed from the inverse direction.
-    """
-    return Circuit(
-        circuit.width,
-        tuple(
-            replace(e, theta=-e.theta) if isinstance(e, Beamsplitter) else replace(e, phi=-e.phi)
-            for e in reversed(circuit.elements)
-        ),
-    )
-
-
 def reck_decompose(u, tol: float = linalg.UNITARY_TOL, full_mesh: bool = False) -> Circuit:
     """Factor a unitary into a triangular beamsplitter mesh plus phases.
 
@@ -169,7 +153,7 @@ def reck_decompose(u, tol: float = linalg.UNITARY_TOL, full_mesh: bool = False) 
     if w.shape[0] != w.shape[1]:
         raise SynthesisError(f"only square matrices can be decomposed, got {w.shape}")
     defect = linalg.unitarity_defect(w)
-    if defect > tol:
+    if not defect <= tol:  # a nan defect fails too
         raise SynthesisError(f"input is not unitary: max|U U^dag - I| = {defect:.3e}")
 
     # Column updates run on rows of the transposed copy, which are

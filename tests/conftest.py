@@ -9,6 +9,12 @@ def random_contraction(rng, size: int, sigma_max: float) -> np.ndarray:
     return z * (sigma_max / np.linalg.svd(z, compute_uv=False)[0])
 
 
+def psd_root(m) -> np.ndarray:
+    """Hermitian square root of a positive semidefinite matrix, from eigh."""
+    w, vecs = np.linalg.eigh(m)
+    return (vecs * np.sqrt(np.clip(w, 0.0, None))) @ vecs.conj().T
+
+
 def random_circuit(rng, width: int, n_elements: int) -> Circuit:
     """Random beamsplitter/phase-shifter sequence (unitary by construction)."""
     elements = []

@@ -247,6 +247,16 @@ def test_run_rejects_non_finite_amplitudes(tmp_path, capsys):
 
 SEARCH = ["search", "--refs", "0,0;1,0", "--data", "0,0"]
 BELLCAT = ["bellcat", "--v1", "1,0,0,0", "--v2", "0,0,1,0"]
+# Input files of the bad-input table, written to its working directory.
+# splitter.txt is what ``synth`` makes of the 50/50 splitter [[1, 1], [1, -1]]/sqrt(2).
+BAD_INPUT_FILES = {
+    "splitter.txt": (
+        "width=2\nBS 0 1 -0.78539816339744828 -1.5707963267948966\nPS 1 -3.1415926535897931\n"
+    ),
+    "huge_input.txt": "n=2\n1e200 0\n0 0\n",
+    "huge_output.txt": "n=2\n1.7e308 0\n1.7e308 0\n",
+    "huge_matrix.txt": "1 1\n1e308 0\n",
+}
 
 
 @pytest.mark.parametrize(
@@ -273,10 +283,16 @@ BELLCAT = ["bellcat", "--v1", "1,0,0,0", "--v2", "0,0,1,0"]
         (SEARCH + ["--trials", "0"], 1),
         (SEARCH + [f"--seed={2**64 - 2}", "--trials=3"], 1),
         (["search", "--refs=1e308,1e308;1e308,1.7e308", "--data=1e308,1.7e308"], 2),
+        (["run", "splitter.txt", "huge_input.txt"], 2),
+        (["run", "splitter.txt", "huge_output.txt"], 2),
+        (["synth", "huge_matrix.txt", "out.txt"], 2),
     ],
 )
 @pytest.mark.filterwarnings("error")
-def test_bad_input_exits_with_one_error_line(argv, code, capsys):
+def test_bad_input_exits_with_one_error_line(argv, code, tmp_path, monkeypatch, capsys):
+    for name, text in BAD_INPUT_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
@@ -291,6 +307,11 @@ def test_synth_rejects_bad_tolerance(tmp_path, capsys, tol):
     assert main(["synth", str(matrix_file), str(tmp_path / "c.txt"), f"--tol={tol}"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: argument --tol"), err
+
+
+def test_search_matches_datum_within_tolerance(capsys):
+    assert main(["search", "--refs", "0.30000000000000004,0;1,0", "--data", "0.3,0"]) == 0
+    assert "analytic_success=0.150692" in capsys.readouterr().err
 
 
 def test_search_click_probability_does_not_overflow(capsys):

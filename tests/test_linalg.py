@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from cohcirc import is_unitary, psd_sqrt, random_unitary, spectral_norm
-from cohcirc.errors import DimensionError, NotPSDError
-from cohcirc.linalg import max_abs, unitarity_defect
+from cohcirc import is_unitary, random_unitary, spectral_norm
+from cohcirc.errors import DimensionError
+from cohcirc.linalg import unitarity_defect
 
 
 def comparison_matrix(c: float) -> np.ndarray:
@@ -48,46 +48,6 @@ def test_spectral_norm_equals_max_singular_value():
     m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     d = np.linalg.svd(m, compute_uv=False)
     assert spectral_norm(m) == max(d)
-
-
-def test_psd_sqrt_zero():
-    assert max_abs(psd_sqrt(np.zeros((3, 3)))) == 0.0
-
-
-def test_psd_sqrt_diagonal():
-    assert np.allclose(psd_sqrt(np.diag([4.0, 1.0])), np.diag([2.0, 1.0]))
-
-
-def test_psd_sqrt_squares_back():
-    k = comparison_matrix(1 / np.sqrt(3))
-    m = np.eye(3) - k @ k.conj().T
-    root = psd_sqrt(m)
-    assert max_abs(root @ root - m) <= 1e-11
-    assert max_abs(root - root.conj().T) <= 1e-12
-
-
-def test_psd_sqrt_roundtrip_random():
-    rng = np.random.default_rng(4)
-    for _ in range(10):
-        n = int(rng.integers(1, 7))
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        s = psd_sqrt(a @ a.conj().T)
-        assert max_abs(psd_sqrt(s @ s) - s) <= 1e-8
-
-
-def test_psd_sqrt_rejects_negative_eigenvalue():
-    with pytest.raises(NotPSDError):
-        psd_sqrt(np.diag([1.0, -1e-6]))
-
-
-def test_psd_sqrt_rejects_non_hermitian():
-    with pytest.raises(NotPSDError):
-        psd_sqrt(np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-
-def test_psd_sqrt_clips_tiny_negatives():
-    root = psd_sqrt(np.diag([1.0, -1e-13]))
-    assert np.allclose(root, np.diag([1.0, 0.0]))
 
 
 def test_unitarity_defect_scale():

@@ -16,7 +16,6 @@ from cohcirc import (
     generate_phase_states,
     max_comparison_scale,
     mean_photon_number,
-    psd_sqrt,
     restore,
     run_search,
     search_circuit,
@@ -26,6 +25,7 @@ from cohcirc import (
 from cohcirc.errors import ContractionError, DimensionError, NonFiniteError
 from cohcirc.linalg import max_abs, unitarity_defect
 from cohcirc.protocols import DILATION, EXPLICIT
+from conftest import psd_root
 
 
 # --- phase states and attenuation ------------------------------------------
@@ -46,12 +46,6 @@ def test_dft_is_unitary():
 def test_phase_states_order_four():
     physical = np.conj(generate_phase_states(4, 1.0))
     assert np.allclose(physical, [1.0, 1j, -1.0, -1j], atol=1e-12)
-
-
-def test_phase_states_port_zero_gives_identical_copies():
-    alpha = 0.6 + 0.2j
-    physical = np.conj(generate_phase_states(5, alpha, input_port=0))
-    assert np.allclose(physical, np.full(5, alpha), atol=1e-12)
 
 
 def test_phase_states_vacuum_input():
@@ -131,7 +125,7 @@ def test_search_unitary_blocks():
     k = comparison_map(2)
     assert max_abs(u[:3, :3] - k) <= 1e-15
     assert max_abs(u[3:, 3:] - k.conj().T) <= 1e-15
-    assert max_abs(u[3:, :3] - psd_sqrt(np.eye(3) - k.conj().T @ k)) <= 1e-12
+    assert max_abs(u[3:, :3] - psd_root(np.eye(3) - k.conj().T @ k)) <= 1e-12
     assert np.allclose(u[0], [0, 0, 0, 1, 0, 0])
 
 
@@ -184,6 +178,28 @@ def test_search_spec_match():
     assert duplicated.match is None
     with pytest.warns(UserWarning, match="coincide"):
         assert SearchSpec((1.0, 2.0, 2.0), 1.0).match == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_search_spec_matches_relative_to_largest_modulus():
+    assert SearchSpec((0.1 + 0.2, 1.0), 0.3).match == 1
+    assert SearchSpec((1e300, 2e300), 1e300 * (1 + 1e-13)).match == 1
+    assert SearchSpec((0.5, 2.0), 0.5 + 1.5e-12).match == 1
+    assert SearchSpec((0.5, 2.0), 0.5 + 3e-12).match is None
+    assert SearchSpec((0.0, 5e-324), 0.0).match == 1
+    assert SearchSpec((5e-324, 1e-323), 5e-324).match == 1
+    huge = 1.7e308 + 1.7e308j
+    assert SearchSpec((huge, -huge), huge).match == 1
+    with pytest.warns(UserWarning, match="references 1 and 2 coincide"):
+        SearchSpec((1.0, 1.0 + 1e-13), 2.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, -np.inf)])
+def test_search_spec_rejects_non_finite_amplitudes(value):
+    with pytest.raises(NonFiniteError):
+        SearchSpec((1.0, value), 1.0)
+    with pytest.raises(NonFiniteError):
+        SearchSpec((1.0, 2.0), value)
 
 
 @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
@@ -316,7 +332,7 @@ def test_restore_through_inverted_physical_circuit():
     # The two-pass story on hardware: forward through the synthesized
     # mesh, replenish group A from extra copies, send everything back
     # through the inverted mesh.
-    from cohcirc import apply_circuit, invert, pad_vacuum
+    from cohcirc import apply_circuit, pad_vacuum, reck_decompose
 
     spec = SearchSpec((1.0 + 0.5j, -2.0), 1.0 + 0.5j)
     circuit, _ = search_circuit(2)
@@ -324,7 +340,8 @@ def test_restore_through_inverted_physical_circuit():
     outcome = run_search(spec, seed=11)
     fresh = apply_circuit(circuit, starred_in)
     reassembled = np.concatenate([fresh[:3], outcome.retained])
-    recovered = apply_circuit(invert(circuit), reassembled)
+    backward = reck_decompose(compile_circuit(circuit).conj().T)
+    recovered = apply_circuit(backward, reassembled)
     assert np.max(np.abs(recovered - starred_in)) <= 1e-10
 
 
