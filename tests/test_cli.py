@@ -173,6 +173,38 @@ def test_search_blocks_keep_per_trial_records(tmp_path, monkeypatch):
         ]
 
 
+PINNED_TRIALS = (
+    "trial,identified,clicked_ports,p_succ_analytic\r\n"
+    "0,1,3;4,0.185086817897\r\n"
+    "1,,4,0.185086817897\r\n"
+    "2,,3,0.185086817897\r\n"
+    "3,,3,0.185086817897\r\n"
+    "4,,,0.185086817897\r\n"
+    "5,,,0.185086817897\r\n"
+)
+PINNED_CLICKS = (
+    "trial,port,clicked\r\n"
+    "0,2,0\r\n0,3,1\r\n0,4,1\r\n"
+    "1,2,0\r\n1,3,0\r\n1,4,1\r\n"
+    "2,2,0\r\n2,3,1\r\n2,4,0\r\n"
+    "3,2,0\r\n3,3,1\r\n3,4,0\r\n"
+    "4,2,0\r\n4,3,0\r\n4,4,0\r\n"
+    "5,2,0\r\n5,3,0\r\n5,4,0\r\n"
+)
+PINNED_SUMMARY = "trials=6 empirical_success=0.166667 analytic_success=0.185087\n"
+
+
+def test_search_csv_bytes_are_pinned(tmp_path, capsys):
+    argv = ["search", "--refs", "0,0;1.5,0;0,1.5", "--data", "0,0", "--trials", "6"]
+    out, clicks = tmp_path / "trials.csv", tmp_path / "clicks.csv"
+    assert main(argv + ["--out", str(out), "--clicks-out", str(clicks)]) == 0
+    assert out.read_bytes() == PINNED_TRIALS.encode()
+    assert clicks.read_bytes() == PINNED_CLICKS.encode()
+    assert capsys.readouterr() == (PINNED_SUMMARY, "")
+    assert main(argv) == 0
+    assert capsys.readouterr() == (PINNED_TRIALS, PINNED_SUMMARY)
+
+
 def test_search_rejects_inconsistent_n():
     assert main(["search", "--refs", "1,0;2,0", "--data", "1,0", "--n", "3"]) == 1
 
