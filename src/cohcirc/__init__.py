@@ -7,7 +7,7 @@ implements three worked protocols: phase-state generation, restorable
 database search, and Bell-cat feasibility checking.
 """
 
-from .detection import ClickRecord, click_probability, sample_clicks
+from .detection import click_probability, sample_clicks
 from .elements import (
     Beamsplitter,
     OpticalElement,
@@ -55,7 +55,6 @@ __all__ = [
     "BellcatQuery",
     "BellcatResult",
     "Circuit",
-    "ClickRecord",
     "ContractionError",
     "DilationPorts",
     "DimensionError",

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import contextlib
-import csv
 import itertools
 import math
 import sys
@@ -156,50 +155,38 @@ def cmd_search(args) -> int:
             f"--seed {args.seed} with --trials {args.trials} needs seeds beyond 2**64 - 1"
         )
     spec = protocols.SearchSpec(references, parse_complex(args.data), c=args.c)
+    if spec.match is None:
+        raise ParseError("--data must match exactly one of --refs")
     analytic = protocols.analytic_success_probability(spec)
-    true_index = spec.match
+    row_end = f",{analytic:.12g}\r\n"
     labels = [str(port + 1) for port in range(1, spec.n + 1)]
+    click_tails = [(f",{label},0\r\n", f",{label},1\r\n") for label in labels]
 
     with contextlib.ExitStack() as files:
         out, clicks_out = (
             files.enter_context(open(path, "w", newline="", encoding="utf-8")) if path else None
             for path in (args.out, args.clicks_out)
         )
-        writer = csv.writer(out or sys.stdout)
-        click_writer = csv.writer(clicks_out) if clicks_out else None
-        writer.writerow(["trial", "identified", "clicked_ports", "p_succ_analytic"])
-        if click_writer is not None:
-            click_writer.writerow(["trial", "port", "clicked"])
+        out = out or sys.stdout
+        out.write("trial,identified,clicked_ports,p_succ_analytic\r\n")
+        if clicks_out is not None:
+            clicks_out.write("trial,port,clicked\r\n")
         successes = 0
         for start in range(0, args.trials, SEARCH_BLOCK):
-            trials = range(start, min(start + SEARCH_BLOCK, args.trials))
-            batch = protocols.run_search(
-                spec, args.seed + start, mode=args.mode, trials=len(trials)
-            )
-            # Each trial's clicked port labels, joined by ";".
-            clicked = np.where(batch.clicked[:, 0], labels[0], "")
-            for label, column in zip(labels[1:], batch.clicked.T[1:]):
-                clicked = np.char.add(clicked, np.where(column, ";" + label, ""))
-            writer.writerows(
-                zip(
-                    trials,
-                    [k or "" for k in batch.identified.tolist()],
-                    np.char.lstrip(clicked, ";").tolist(),
-                    itertools.repeat(f"{analytic:.12g}"),
-                )
-            )
-            if click_writer is not None:
-                click_writer.writerows(
-                    zip(
-                        (trial for trial in trials for _ in labels),
-                        itertools.cycle(labels),
-                        batch.clicked.ravel().view(np.int8).tolist(),
-                    )
-                )
-            if true_index is None:
-                successes += np.count_nonzero(batch.identified)
-            else:
-                successes += np.count_nonzero(batch.identified == true_index)
+            block = range(start, min(start + SEARCH_BLOCK, args.trials))
+            batch = protocols.run_search(spec, args.seed + start, args.mode, trials=len(block))
+            clicked = batch.clicked.tolist()
+            out.write("".join([
+                f"{t},{k or ''},{';'.join(itertools.compress(labels, row))}{row_end}"
+                for t, k, row in zip(block, batch.identified.tolist(), clicked)
+            ]))
+            if clicks_out is not None:
+                clicks_out.write("".join([
+                    f"{t}{tails[c]}"
+                    for t, row in zip(block, clicked)
+                    for tails, c in zip(click_tails, row)
+                ]))
+            successes += np.count_nonzero(batch.identified == spec.match)
     empirical = successes / args.trials
     print(
         f"trials={args.trials} empirical_success={empirical:.6f} "

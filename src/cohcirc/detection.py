@@ -5,32 +5,24 @@ counts.  They report only "at least one photon", which on a coherent
 state |beta> happens with probability 1 - exp(-|beta|^2).  Sampling
 uses numpy's default PCG64 generator (``np.random.default_rng``) with a
 64-bit seed, drawing one uniform per port in port order, so a seed fixes
-the whole click record bit for bit.  Per-trial determinism comes from
-seeding each trial with seed + index.  A batch of trials draws the same
-numbers from a vectorized re-implementation of numpy's SeedSequence and
-PCG64 seeding (NumPy NEP 19; O'Neill, "PCG: A Family of Simple Fast
-Space-Efficient Statistically Good Algorithms for Random Number
-Generation", 2014), checked bit for bit against ``default_rng``.
+the whole click record, a bool array True where a port clicked, bit for
+bit.  Trial t of a batch is seeded with seed + t, and its draws come from
+a vectorized re-implementation of numpy's SeedSequence and PCG64 seeding
+(NumPy NEP 19; O'Neill, "PCG: A Family of Simple Fast Space-Efficient
+Statistically Good Algorithms for Random Number Generation", 2014),
+checked bit for bit against ``default_rng``.
 """
 
 from __future__ import annotations
 
 import cmath
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .engine import as_amplitudes
 from .errors import DimensionError, NonFiniteError
-
-
-@dataclass(frozen=True)
-class ClickRecord:
-    port: int
-    clicked: bool
-    probability: float
 
 
 def click_probability(beta: complex) -> float:
@@ -136,23 +128,20 @@ def _uniforms(seed: int, trials: int, n: int) -> np.ndarray:
 
 def sample_clicks(
     amplitudes, ports: Sequence[int] | Iterable[int], seed: int, trials: int | None = None
-) -> list[ClickRecord] | np.ndarray:
+) -> np.ndarray:
     """Independent Bernoulli click draws on ``ports``, reproducible by seed.
 
-    With ``trials=None`` returns one ClickRecord per port, drawn from
-    ``default_rng(seed)``.  With an integer returns a (trials, len(ports))
-    bool array whose row t holds the clicks the single draw with seed
-    ``seed + t`` gives; those seeds must lie in [0, 2**64).
+    Returns bools, True where a port clicked.  With ``trials=None`` one
+    per port, drawn from ``default_rng(seed)``.  With an integer a
+    (trials, len(ports)) array whose row t holds the clicks the single
+    draw with seed ``seed + t`` gives; those seeds must lie in [0, 2**64).
     """
     vec = as_amplitudes(amplitudes)
     ports = [int(p) for p in ports]
     for port in ports:
         if not 0 <= port < vec.shape[0]:
             raise DimensionError(f"port {port} out of range for width {vec.shape[0]}")
-    probabilities = [click_probability(vec[port]) for port in ports]
-    if trials is not None:
-        return _uniforms(seed, trials, len(ports)) < np.array(probabilities)
-    draws = np.random.default_rng(seed).random(len(ports)).tolist()
-    return [
-        ClickRecord(port, u < p, p) for port, u, p in zip(ports, draws, probabilities)
-    ]
+    probabilities = np.array([click_probability(vec[port]) for port in ports])
+    if trials is None:
+        return np.random.default_rng(seed).random(len(ports)) < probabilities
+    return _uniforms(seed, trials, len(ports)) < probabilities

@@ -153,19 +153,9 @@ def read_matrix(path) -> np.ndarray:
         return parse_matrix(fh.read())
 
 
-def write_matrix(path, m) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_matrix(m))
-
-
 def read_amplitudes(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_amplitudes(fh.read())
-
-
-def write_amplitudes(path, amplitudes) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_amplitudes(amplitudes))
 
 
 def read_circuit(path) -> Circuit:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .detection import ClickRecord, click_probability, sample_clicks
+from .detection import click_probability, sample_clicks
 from .engine import apply_circuit, apply_matrix, pad_vacuum
 from .errors import ContractionError, DimensionError, NonFiniteError, SynthesisError
 from .synthesis import Circuit, DilationPorts, dilate, reck_decompose
@@ -187,13 +187,13 @@ class SearchOutcome:
 
     ``identified`` is the 1-based reference index (which equals the
     0-based comparison-port index carrying data - reference), or None
-    when the click pattern is inconclusive.  ``retained`` holds the
-    untouched group-B starred amplitudes; the group-A ports 0..N are
-    consumed by the measurement.
+    when the click pattern is inconclusive.  ``clicked[j]`` tells whether
+    comparison port j + 1 clicked.  ``retained`` holds the untouched
+    group-B starred amplitudes; the group-A ports 0..N are consumed.
     """
 
     identified: int | None
-    clicks: tuple[ClickRecord, ...]
+    clicked: np.ndarray
     retained: np.ndarray
     mode: str
 
@@ -224,9 +224,9 @@ class SearchBatch(NamedTuple):
     """Results of the seeded search trials seed, seed + 1, ...
 
     ``identified[t]`` is trial t's 1-based reference index, 0 when its
-    click pattern is inconclusive; ``clicked[t, j]`` tells whether
-    comparison port j + 1 clicked.  ``retained`` and ``mode`` are as in
-    ``SearchOutcome``, the same for every trial.
+    click pattern is inconclusive; ``clicked[t]`` is the single trial
+    seed + t's ``SearchOutcome.clicked``.  ``retained`` and ``mode`` are
+    as in ``SearchOutcome``, the same for every trial.
     """
 
     identified: np.ndarray
@@ -260,11 +260,11 @@ def run_search(
         # only the output needs the finite check sample_clicks makes.
         with np.errstate(over="ignore", invalid="ignore"):
             out = u @ _search_input(spec)
-        clicks = tuple(sample_clicks(out, ports, seed))
-        silent = [record.port for record in clicks if not record.clicked]
+        clicked = sample_clicks(out, ports, seed)
+        silent = [port for port, c in zip(ports, clicked.tolist()) if not c]
         return SearchOutcome(
             identified=silent[0] if len(silent) == 1 else None,
-            clicks=clicks,
+            clicked=clicked,
             retained=out[spec.n + 1 :],
             mode=mode,
         )

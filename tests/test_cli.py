@@ -3,13 +3,13 @@ import pytest
 
 from cohcirc import SearchSpec, cli, comparison_map, run_search, search_unitary_explicit
 from cohcirc.cli import main
-from cohcirc.formats import read_circuit, write_amplitudes, write_matrix
+from cohcirc.formats import format_amplitudes, format_matrix, read_circuit
 
 
 def test_synth_identity(tmp_path, capsys):
     matrix_file = tmp_path / "m.txt"
     circuit_file = tmp_path / "c.txt"
-    write_matrix(matrix_file, np.eye(4))
+    matrix_file.write_text(format_matrix(np.eye(4)))
     assert main(["synth", str(matrix_file), str(circuit_file)]) == 0
     out = capsys.readouterr().out
     assert "beamsplitters=0" in out
@@ -19,7 +19,7 @@ def test_synth_identity(tmp_path, capsys):
 def test_synth_search_unitary(tmp_path, capsys):
     matrix_file = tmp_path / "m.txt"
     circuit_file = tmp_path / "c.txt"
-    write_matrix(matrix_file, search_unitary_explicit())
+    matrix_file.write_text(format_matrix(search_unitary_explicit()))
     assert main(["synth", str(matrix_file), str(circuit_file)]) == 0
     out = capsys.readouterr().out
     assert "route=unitary" in out
@@ -32,7 +32,7 @@ def test_synth_search_unitary(tmp_path, capsys):
 def test_synth_contraction_goes_through_dilation(tmp_path, capsys):
     matrix_file = tmp_path / "m.txt"
     circuit_file = tmp_path / "c.txt"
-    write_matrix(matrix_file, comparison_map(2))
+    matrix_file.write_text(format_matrix(comparison_map(2)))
     assert main(["synth", str(matrix_file), str(circuit_file)]) == 0
     out = capsys.readouterr().out
     assert "route=dilation" in out
@@ -41,7 +41,7 @@ def test_synth_contraction_goes_through_dilation(tmp_path, capsys):
 
 def test_synth_rejects_expanding_matrix(tmp_path, capsys):
     matrix_file = tmp_path / "m.txt"
-    write_matrix(matrix_file, np.diag([1.4, 0.2]))
+    matrix_file.write_text(format_matrix(np.diag([1.4, 0.2])))
     assert main(["synth", str(matrix_file), str(tmp_path / "c.txt")]) == 2
 
 
@@ -55,7 +55,7 @@ def test_run_echoes_through_empty_circuit(tmp_path, capsys):
     circuit_file = tmp_path / "c.txt"
     amps_file = tmp_path / "a.txt"
     circuit_file.write_text("width=2\n")
-    write_amplitudes(amps_file, np.array([1.0, 0.0]))
+    amps_file.write_text(format_amplitudes(np.array([1.0, 0.0])))
     assert main(["run", str(circuit_file), str(amps_file)]) == 0
     out = capsys.readouterr().out
     assert "photon number: in=1 out=1" in out
@@ -65,7 +65,7 @@ def test_run_fifty_fifty_splitter(tmp_path, capsys):
     circuit_file = tmp_path / "c.txt"
     amps_file = tmp_path / "a.txt"
     circuit_file.write_text(f"width=2\nBS 0 1 {np.pi / 4:.17g} 0\n")
-    write_amplitudes(amps_file, np.array([1.0, 0.0]))
+    amps_file.write_text(format_amplitudes(np.array([1.0, 0.0])))
     assert main(["run", str(circuit_file), str(amps_file)]) == 0
     out = capsys.readouterr().out
     assert "+7.071067811865e-01" in out  # starred outputs 1/sqrt(2), i/sqrt(2)
@@ -76,7 +76,7 @@ def test_run_width_mismatch(tmp_path):
     circuit_file = tmp_path / "c.txt"
     amps_file = tmp_path / "a.txt"
     circuit_file.write_text("width=3\n")
-    write_amplitudes(amps_file, np.array([1.0, 0.0]))
+    amps_file.write_text(format_amplitudes(np.array([1.0, 0.0])))
     assert main(["run", str(circuit_file), str(amps_file)]) == 2
 
 
@@ -89,8 +89,8 @@ def test_synth_then_run_matches_direct_application(tmp_path, capsys):
     matrix_file = tmp_path / "m.txt"
     circuit_file = tmp_path / "c.txt"
     amps_file = tmp_path / "a.txt"
-    write_matrix(matrix_file, u)
-    write_amplitudes(amps_file, vec)
+    matrix_file.write_text(format_matrix(u))
+    amps_file.write_text(format_amplitudes(vec))
     assert main(["synth", str(matrix_file), str(circuit_file)]) == 0
     capsys.readouterr()
     assert main(["run", str(circuit_file), str(amps_file)]) == 0
@@ -166,10 +166,11 @@ def test_search_blocks_keep_per_trial_records(tmp_path, monkeypatch):
     click_rows = [line.split(",") for line in written[0][1].splitlines()[1:]]
     for t in range(20):
         outcome = run_search(spec, seed=3 + t)
-        clicked = [str(r.port + 1) for r in outcome.clicks if r.clicked]
-        assert rows[t][:3] == [str(t), str(outcome.identified or ""), ";".join(clicked)]
+        clicked = outcome.clicked.tolist()
+        labels = [str(port + 2) for port, c in enumerate(clicked) if c]
+        assert rows[t][:3] == [str(t), str(outcome.identified or ""), ";".join(labels)]
         assert click_rows[3 * t : 3 * t + 3] == [
-            [str(t), str(r.port + 1), str(int(r.clicked))] for r in outcome.clicks
+            [str(t), str(port + 2), str(int(c))] for port, c in enumerate(clicked)
         ]
 
 
@@ -313,6 +314,7 @@ BAD_INPUT_FILES = {
         (["search", "--refs", "0,0;1,0;2,0", "--data", "0,0", "--mode", "explicit"], 2),
         (SEARCH + ["--mode", "explicit", "--c", "0.1"], 2),
         (SEARCH + ["--trials", "0"], 1),
+        (["search", "--refs", "0,0;3,0", "--data=0.2,0", "--trials=1000", "--out=o.csv"], 1),
         (SEARCH + [f"--seed={2**64 - 2}", "--trials=3"], 1),
         (["search", "--refs=1e308,1e308;1e308,1.7e308", "--data=1e308,1.7e308"], 2),
         (["run", "splitter.txt", "huge_input.txt"], 2),
@@ -335,7 +337,7 @@ def test_synth_rejects_bad_tolerance(tmp_path, capsys, tol):
     # With --tol nan the identity used to fail the unitarity test and go
     # down the dilation route.
     matrix_file = tmp_path / "m.txt"
-    write_matrix(matrix_file, np.eye(2))
+    matrix_file.write_text(format_matrix(np.eye(2)))
     assert main(["synth", str(matrix_file), str(tmp_path / "c.txt"), f"--tol={tol}"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: argument --tol"), err

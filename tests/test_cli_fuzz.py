@@ -61,12 +61,15 @@ def test_bellcat_never_escapes(v1, v2, alpha, target, capsys):
 @given(
     refs=st.lists(pair, min_size=1, max_size=4),
     data=pair,
+    match=st.sampled_from([None, 0, 1, 2, 3]),
     c=st.none() | number,
     trials=st.integers(min_value=0, max_value=3),
     seed=st.integers(min_value=-2, max_value=2**64),
     mode=st.sampled_from(["dilation", "explicit"]),
 )
-def test_search_never_escapes(refs, data, c, trials, seed, mode, capsys):
+def test_search_never_escapes(refs, data, match, c, trials, seed, mode, capsys):
+    # A datum taken from the references passes the match check and reaches the sampler.
+    data = data if match is None else refs[match % len(refs)]
     argv = ["search", "--refs=" + ";".join(refs), f"--data={data}", f"--trials={trials}"]
     argv += [f"--seed={seed}", f"--mode={mode}"] + ([] if c is None else [f"--c={c}"])
     run(argv, capsys)

@@ -213,7 +213,7 @@ def test_run_search_is_deterministic():
     first = run_search(spec, seed=42)
     second = run_search(spec, seed=42)
     assert first.identified == second.identified
-    assert first.clicks == second.clicks
+    np.testing.assert_array_equal(first.clicked, second.clicked)
 
 
 def test_run_search_identifies_matching_reference():
@@ -238,7 +238,7 @@ def test_run_search_degenerate_references_inconclusive():
     for t in range(50):
         outcome = run_search(spec, seed=t)
         assert outcome.identified is None
-        assert not any(r.clicked for r in outcome.clicks)
+        assert not outcome.clicked.any()
 
 
 def test_run_search_three_references():
@@ -259,7 +259,7 @@ def test_run_search_modes_share_click_statistics():
         a = run_search(spec, seed=100 + t, mode=EXPLICIT)
         b = run_search(spec, seed=100 + t, mode=DILATION)
         assert a.identified == b.identified
-        assert [r.clicked for r in a.clicks] == [r.clicked for r in b.clicks]
+        np.testing.assert_array_equal(a.clicked, b.clicked)
 
 
 @pytest.mark.parametrize(
@@ -279,7 +279,7 @@ def test_run_search_batch_equals_single_trials(refs, data, mode):
     for t in range(2000):
         single = run_search(spec, seed=2**40 - 1000 + t, mode=mode)
         assert (single.identified or 0) == batch.identified[t]
-        assert [r.clicked for r in single.clicks] == batch.clicked[t].tolist()
+        np.testing.assert_array_equal(single.clicked, batch.clicked[t])
         np.testing.assert_array_equal(single.retained, batch.retained)
 
 
@@ -350,7 +350,7 @@ def test_restore_rejects_bad_retained_width():
     outcome = run_search(spec, seed=0)
     bad = type(outcome)(
         identified=outcome.identified,
-        clicks=outcome.clicks,
+        clicked=outcome.clicked,
         retained=outcome.retained[:-1],
         mode=outcome.mode,
     )
