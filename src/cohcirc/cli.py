@@ -159,6 +159,7 @@ def cmd_search(args) -> int:
         raise ParseError("--data must match exactly one of --refs")
     analytic = protocols.analytic_success_probability(spec)
     row_end = f",{analytic:.12g}\r\n"
+    identified = ["", *map(str, range(1, spec.n + 1))]  # 0 is inconclusive
     labels = [str(port + 1) for port in range(1, spec.n + 1)]
     click_tails = [(f",{label},0\r\n", f",{label},1\r\n") for label in labels]
 
@@ -177,7 +178,7 @@ def cmd_search(args) -> int:
             batch = protocols.run_search(spec, args.seed + start, args.mode, trials=len(block))
             clicked = batch.clicked.tolist()
             out.write("".join([
-                f"{t},{k or ''},{';'.join(itertools.compress(labels, row))}{row_end}"
+                f"{t},{identified[k]},{';'.join(itertools.compress(labels, row))}{row_end}"
                 for t, k, row in zip(block, batch.identified.tolist(), clicked)
             ]))
             if clicks_out is not None:

@@ -223,10 +223,9 @@ def _search_input(spec: SearchSpec) -> np.ndarray:
 class SearchBatch(NamedTuple):
     """Results of the seeded search trials seed, seed + 1, ...
 
-    ``identified[t]`` is trial t's 1-based reference index, 0 when its
-    click pattern is inconclusive; ``clicked[t]`` is the single trial
-    seed + t's ``SearchOutcome.clicked``.  ``retained`` and ``mode`` are
-    as in ``SearchOutcome``, the same for every trial.
+    Row t is the single trial seed + t: ``identified[t]`` is its 1-based
+    reference index, 0 when inconclusive, and ``clicked[t]`` is its
+    ``SearchOutcome.clicked``.  ``retained`` and ``mode`` are the same for all.
     """
 
     identified: np.ndarray
