@@ -189,7 +189,7 @@ class SearchOutcome:
     0-based comparison-port index carrying data - reference), or None
     when the click pattern is inconclusive.  ``clicked[j]`` tells whether
     comparison port j + 1 clicked.  ``retained`` holds the untouched
-    group-B starred amplitudes; the group-A ports 0..N are consumed.
+    group-B starred amplitudes; the measurement consumes group-A ports 0..N.
     """
 
     identified: int | None

@@ -314,12 +314,12 @@ BAD_INPUT_FILES = {
         (["search", "--refs", "0,0;1,0;2,0", "--data", "0,0", "--mode", "explicit"], 2),
         (SEARCH + ["--mode", "explicit", "--c", "0.1"], 2),
         (SEARCH + ["--trials", "0"], 1),
-        (["search", "--refs", "0,0;3,0", "--data=0.2,0", "--trials=1000", "--out=o.csv"], 1),
         (SEARCH + [f"--seed={2**64 - 2}", "--trials=3"], 1),
         (["search", "--refs=1e308,1e308;1e308,1.7e308", "--data=1e308,1.7e308"], 2),
         (["run", "splitter.txt", "huge_input.txt"], 2),
         (["run", "splitter.txt", "huge_output.txt"], 2),
         (["synth", "huge_matrix.txt", "out.txt"], 2),
+        (["search", "--refs", "0,0;3,0", "--data=0.2,0", "--trials=1000", "--out=o.csv"], 1),
     ],
 )
 @pytest.mark.filterwarnings("error")
