@@ -92,3 +92,49 @@ def test_circuit_rejects_malformed_lines():
 def test_circuit_rejects_out_of_range_modes():
     with pytest.raises(ParseError):
         parse_circuit("width=2\nPS 5 0.1")
+
+
+# One defect per file; the message each raises is pinned word for word.
+CIRCUIT_DEFECTS = [
+    ("width=3\nBS 0 1 0.5 x\n", "circuit: cannot parse number 'x'"),
+    ("width=3\nBS 0 1.5 0.5 0.1\n", "circuit: cannot parse integer '1.5'"),
+    ("width=3\nPS 1.5 0.1\n", "circuit: cannot parse integer '1.5'"),
+    (
+        "width=3\nPS 0 0.1\nBS -1 2 0.5 0.1\n",
+        "circuit: invalid element 'BS -1 2 0.5 0.1': beamsplitter modes must be non-negative",
+    ),
+    (
+        "width=3\nPS -1 0.1\n",
+        "circuit: invalid element 'PS -1 0.1': phase shifter mode must be non-negative",
+    ),
+    (
+        "width=3\nBS 1 1 0.5 0.1\n",
+        "circuit: invalid element 'BS 1 1 0.5 0.1': beamsplitter modes must be distinct",
+    ),
+    ("width=3\nBS 0 1 0.5 0.1\nBS 0 3 0.5 0.1\n", "circuit: element modes (0, 3) exceed circuit width 3"),
+    ("width=3\nPS 3 0.1\n", "circuit: element modes (3,) exceed circuit width 3"),
+    (
+        "width=3\nBS 0 1 nan 0.1\n",
+        "circuit: invalid element 'BS 0 1 nan 0.1': beamsplitter angles must be finite",
+    ),
+    (
+        "width=3\nBS 0 1 0.5 inf\n",
+        "circuit: invalid element 'BS 0 1 0.5 inf': beamsplitter angles must be finite",
+    ),
+    (
+        "width=3\nPS 0 -inf\n",
+        "circuit: invalid element 'PS 0 -inf': phase shifter angle must be finite",
+    ),
+    ("width=0\n", "circuit: circuit width must be at least 1"),
+    ("width=0\nPS 0 0.1\n", "circuit: circuit width must be at least 1"),
+    ("width=3\nBS 0 1 0.5\n", "circuit: unrecognized element line 'BS 0 1 0.5'"),
+    ("width=x\n", "circuit header: cannot parse integer 'x'"),
+    ("wid=3\n", "circuit: first line must be 'width=<n>'"),
+]
+
+
+@pytest.mark.parametrize("text, message", CIRCUIT_DEFECTS)
+def test_circuit_defect_messages_are_pinned(text, message):
+    with pytest.raises(ParseError) as caught:
+        parse_circuit(text)
+    assert str(caught.value) == message

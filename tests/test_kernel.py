@@ -135,3 +135,93 @@ def test_round_trip_stays_tight_up_to_128_modes():
     for n in (16, 64, 128):
         u = random_unitary(n, rng)
         assert max_abs(compile_circuit(reck_decompose(u)) - u) <= 1e-14
+
+
+def reck_rows_in_place(u, tol=1e-10, full_mesh=False):
+    """The element-by-element Reck loop: each entry of a row is nulled by
+    one in-place column update.  Kept as the reference for
+    ``reck_decompose``; returns (col, row, theta, phi) couplers and
+    (mode, phi) shifters."""
+    wt = np.array(u, dtype=complex).T.copy()
+    n = wt.shape[0]
+    couplers, shifters = [], []
+    for row in range(n - 1, 0, -1):
+        targets = wt[:row, row].tolist()
+        y = wt[row, : row + 1]
+        for col in range(row - 1, -1, -1):
+            a = targets[col]
+            if abs(a) <= tol:
+                wt[col, row] = 0.0
+                if full_mesh:
+                    couplers.append((col, row, 0.0, 0.0))
+                continue
+            b = complex(wt[row, row])
+            theta = np.arctan2(abs(a), abs(b))
+            phi = np.angle(a) - np.angle(b) + np.pi / 2
+            phi = (phi + np.pi) % (2 * np.pi) - np.pi
+            c, s, e = np.cos(theta), np.sin(theta), np.exp(1j * phi)
+            x = wt[col, : row + 1]
+            from_x = x * (1j * s * np.conj(e))
+            x *= c
+            x += y * (1j * s * e)
+            y *= c
+            y += from_x
+            wt[col, row] = 0.0
+            couplers.append((col, row, -theta, phi))
+    for mode, d in enumerate(np.diagonal(wt).tolist()):
+        if abs(d - 1.0) > tol:
+            shifters.append((mode, -np.angle(d)))
+    return couplers, shifters
+
+
+def adversarial_unitaries():
+    """Inputs where entries sit at or near the skip tolerance, pivots are
+    zero, or whole rows are already reduced."""
+    rng = np.random.default_rng(43)
+    n = 12
+    permutation = np.eye(n)[rng.permutation(n)] * np.exp(2j * np.pi * rng.random(n))
+    idx = np.arange(n)
+    dft = np.exp(2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = 1e-9 * (h + h.conj().T) / np.abs(h + h.conj().T).max()
+    w, v = np.linalg.eigh(h)
+    near_identity = (v * np.exp(1j * w)) @ v.conj().T
+    block = np.eye(n, dtype=complex)
+    block[:7, :7] = random_unitary(7, rng)
+    flipped = random_unitary(n, rng)[::-1]
+    return {
+        "permutation": permutation,
+        "dft": dft,
+        "exp_iH": near_identity,
+        "haar_plus_identity": block,
+        "row_flipped_haar": flipped,
+    }
+
+
+def wrapped(angle):
+    return (np.asarray(angle) + np.pi) % (2 * np.pi) - np.pi
+
+
+@pytest.mark.parametrize("family", sorted(adversarial_unitaries()))
+@pytest.mark.parametrize("full_mesh", [False, True])
+def test_reck_matches_in_place_loop_on_adversarial_families(family, full_mesh):
+    u = adversarial_unitaries()[family]
+    circuit = reck_decompose(u, full_mesh=full_mesh)
+    couplers, shifters = reck_rows_in_place(u, full_mesh=full_mesh)
+    got_couplers = [e for e in circuit.elements if isinstance(e, Beamsplitter)]
+    got_shifters = [e for e in circuit.elements if isinstance(e, PhaseShifter)]
+    assert circuit.elements == tuple(got_couplers) + tuple(got_shifters)
+    assert [(e.mode1, e.mode2) for e in got_couplers] == [c[:2] for c in couplers]
+    assert [e.mode for e in got_shifters] == [s[0] for s in shifters]
+    if full_mesh:
+        assert circuit.beamsplitter_count == u.shape[0] * (u.shape[0] - 1) // 2
+    theta = np.array([e.theta for e in got_couplers]) - [c[2] for c in couplers]
+    phi = [e.phi for e in got_couplers + got_shifters]
+    phi = wrapped(np.array(phi) - ([c[3] for c in couplers] + [s[1] for s in shifters]))
+    assert max_abs(np.concatenate([theta, phi, [0.0]])) <= 1e-12
+    oracle = Circuit(
+        u.shape[0], [Beamsplitter(*c) for c in couplers] + [PhaseShifter(*s) for s in shifters]
+    )
+    # exp_iH has entries under the skip tolerance, so neither mesh is exact there.
+    residual = max_abs(compile_circuit(circuit) - u)
+    assert residual <= max_abs(compile_circuit(oracle) - u) + 1e-14

@@ -11,7 +11,7 @@ from cohcirc import (
     random_unitary,
     reck_decompose,
 )
-from cohcirc.errors import ContractionError, DimensionError, SynthesisError
+from cohcirc.errors import ContractionError, DimensionError, NonFiniteError, SynthesisError
 from cohcirc.linalg import max_abs, unitarity_defect
 from conftest import psd_root, random_circuit, random_contraction
 
@@ -200,3 +200,35 @@ def test_dilated_random_contractions():
         u, _ = dilate(k)
         assert unitarity_defect(u) <= 1e-10
         assert np.array_equal(u[:size, :size], k)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Circuit(0), DimensionError, "circuit width must be at least 1"),
+        (
+            lambda: Circuit(2, (PhaseShifter(2, 0.1),)),
+            DimensionError,
+            "element modes (2,) exceed circuit width 2",
+        ),
+        (
+            lambda: Circuit(3, (Beamsplitter(0, 1, 0.1, 0.2), Beamsplitter(1, 3, 0.1, 0.2))),
+            DimensionError,
+            "element modes (1, 3) exceed circuit width 3",
+        ),
+        (
+            lambda: Circuit(2, (Beamsplitter(0, 1, np.nan, 0.0),)),
+            NonFiniteError,
+            "beamsplitter angles must be finite",
+        ),
+        (
+            lambda: Circuit(2, (PhaseShifter(0, np.inf),)),
+            NonFiniteError,
+            "phase shifter angle must be finite",
+        ),
+    ],
+)
+def test_circuit_error_messages_are_pinned(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert str(caught.value) == message
