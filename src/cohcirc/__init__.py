@@ -7,6 +7,8 @@ implements three worked protocols: phase-state generation, restorable
 database search, and Bell-cat feasibility checking.
 """
 
+from types import ModuleType as _ModuleType
+
 from .detection import click_probability, sample_clicks
 from .elements import (
     Beamsplitter,
@@ -50,46 +52,11 @@ from .synthesis import (
     reck_decompose,
 )
 
-__all__ = [
-    "Beamsplitter",
-    "BellcatQuery",
-    "BellcatResult",
-    "Circuit",
-    "ContractionError",
-    "DilationPorts",
-    "DimensionError",
-    "OpticalElement",
-    "PhaseShifter",
-    "SearchBatch",
-    "SearchOutcome",
-    "SearchSpec",
-    "SynthesisError",
-    "analytic_success_probability",
-    "apply_circuit",
-    "apply_matrix",
-    "attenuation_ladder",
-    "beamsplitter_matrix",
-    "bellcat_feasibility",
-    "click_probability",
-    "comparison_map",
-    "compile_circuit",
-    "dft_matrix",
-    "dilate",
-    "generate_phase_states",
-    "is_unitary",
-    "max_comparison_scale",
-    "mean_photon_number",
-    "pad_vacuum",
-    "phaseshifter_factor",
-    "random_unitary",
-    "reck_decompose",
-    "restore",
-    "run_search",
-    "sample_clicks",
-    "search_circuit",
-    "search_unitary_explicit",
-    "spectral_norm",
-    "success_probability",
-]
+# The public API is exactly the names imported above.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)
 
 __version__ = "0.1.0"

@@ -16,6 +16,7 @@ import contextlib
 import itertools
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -154,9 +155,14 @@ def cmd_search(args) -> int:
         raise ParseError(
             f"--seed {args.seed} with --trials {args.trials} needs seeds beyond 2**64 - 1"
         )
-    spec = protocols.SearchSpec(references, parse_complex(args.data), c=args.c)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        spec = protocols.SearchSpec(references, parse_complex(args.data), c=args.c)
     if spec.match is None:
         raise ParseError("--data must match exactly one of --refs")
+    for w in caught:  # coincident references warn only on an accepted search
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    protocols.search_operator(spec, args.mode)  # domain errors before any output
     analytic = protocols.analytic_success_probability(spec)
     row_end = f",{analytic:.12g}\r\n"
     identified = ["", *map(str, range(1, spec.n + 1))]  # 0 is inconclusive

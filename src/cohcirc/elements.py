@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -21,6 +20,23 @@ from .errors import DimensionError, NonFiniteError
 
 # Modes index arrays, so they must be integers (numpy integer scalars too).
 _INTEGER = (int, np.integer)
+
+
+def element_error(modes: tuple, angles: tuple) -> ValueError | None:
+    """The error a beamsplitter (two modes) or phase shifter (one mode)
+    with these modes and angles is rejected with, or None if it is valid."""
+    first, last = modes[0], modes[-1]
+    kind, s = ("beamsplitter", "s") if len(modes) == 2 else ("phase shifter", "")
+    if not (isinstance(first, _INTEGER) and isinstance(last, _INTEGER)):
+        what = "integers" if s else "an integer"
+        return DimensionError(f"{kind} mode{s} must be {what}, got {', '.join(map(repr, modes))}")
+    if first < 0 or last < 0:
+        return DimensionError(f"{kind} mode{s} must be non-negative")
+    if first == last and s:
+        return DimensionError("beamsplitter modes must be distinct")
+    if not (math.isfinite(angles[0]) and math.isfinite(angles[-1])):
+        return NonFiniteError(f"{kind} angle{s} must be finite")
+    return None
 
 
 @dataclass(frozen=True)
@@ -37,16 +53,9 @@ class Beamsplitter:
         return (self.mode1, self.mode2)
 
     def __post_init__(self):
-        if not (isinstance(self.mode1, _INTEGER) and isinstance(self.mode2, _INTEGER)):
-            raise DimensionError(
-                f"beamsplitter modes must be integers, got {self.mode1!r}, {self.mode2!r}"
-            )
-        if self.mode1 < 0 or self.mode2 < 0:
-            raise DimensionError("beamsplitter modes must be non-negative")
-        if self.mode1 == self.mode2:
-            raise DimensionError("beamsplitter modes must be distinct")
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-            raise NonFiniteError("beamsplitter angles must be finite")
+        error = element_error(self.modes, (self.theta, self.phi))
+        if error:
+            raise error
 
 
 @dataclass(frozen=True)
@@ -61,17 +70,12 @@ class PhaseShifter:
         return (self.mode,)
 
     def __post_init__(self):
-        if not isinstance(self.mode, _INTEGER):
-            raise DimensionError(
-                f"phase shifter mode must be an integer, got {self.mode!r}"
-            )
-        if self.mode < 0:
-            raise DimensionError("phase shifter mode must be non-negative")
-        if not math.isfinite(self.phi):
-            raise NonFiniteError("phase shifter angle must be finite")
+        error = element_error(self.modes, (self.phi,))
+        if error:
+            raise error
 
 
-OpticalElement = Union[Beamsplitter, PhaseShifter]
+OpticalElement = Beamsplitter | PhaseShifter
 
 
 def beamsplitter_matrix(theta, phi) -> np.ndarray:

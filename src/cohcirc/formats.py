@@ -13,28 +13,30 @@ Circuit:     first line "width=<n>", then one element per line in
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
-from .elements import Beamsplitter, PhaseShifter
-from .synthesis import Circuit
+from .synthesis import Circuit, element_defect
 
 
 class ParseError(ValueError):
     """Input text does not conform to one of the file formats."""
 
 
-def _float(token: str, context: str) -> float:
+def _numbers(convert, tokens: list[str], context: str) -> list:
+    """``convert`` (int or float) applied to every token; the first token
+    it rejects raises :class:`ParseError`."""
     try:
-        return float(token)
+        return list(map(convert, tokens))
     except ValueError:
-        raise ParseError(f"{context}: cannot parse number {token!r}") from None
-
-
-def _int(token: str, context: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"{context}: cannot parse integer {token!r}") from None
+        for token in tokens:
+            try:
+                convert(token)
+            except ValueError:
+                what = "integer" if convert is int else "number"
+                raise ParseError(f"{context}: cannot parse {what} {token!r}") from None
+        raise
 
 
 def _check_finite(values: np.ndarray, context: str) -> None:
@@ -49,8 +51,7 @@ def parse_matrix(text: str) -> np.ndarray:
     header = lines[0].split()
     if len(header) != 2:
         raise ParseError("matrix: first line must be 'rows cols'")
-    rows = _int(header[0], "matrix header")
-    cols = _int(header[1], "matrix header")
+    rows, cols = _numbers(int, header, "matrix header")
     if rows < 1 or cols < 1:
         raise ParseError(f"matrix: invalid shape {rows}x{cols}")
     tokens = " ".join(lines[1:]).split()
@@ -59,110 +60,83 @@ def parse_matrix(text: str) -> np.ndarray:
             f"matrix: expected {2 * rows * cols} numbers for a {rows}x{cols} "
             f"matrix, found {len(tokens)}"
         )
-    values = np.array([_float(tok, "matrix entry") for tok in tokens])
+    values = np.array(_numbers(float, tokens, "matrix entry"))
     # Checked before combining: 1j * inf would warn about an invalid product.
     _check_finite(values, "matrix")
     flat = values[0::2] + 1j * values[1::2]
     return flat.reshape(rows, cols)
 
 
-def format_matrix(m) -> str:
-    a = np.asarray(m, dtype=complex)
-    lines = [f"{a.shape[0]} {a.shape[1]}"]
-    for row in a:
-        lines.append(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row))
-    return "\n".join(lines) + "\n"
-
-
 def parse_amplitudes(text: str) -> np.ndarray:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines or not lines[0].startswith("n="):
         raise ParseError("amplitudes: first line must be 'n=<width>'")
-    width = _int(lines[0][2:].strip(), "amplitudes header")
+    (width,) = _numbers(int, [lines[0][2:].strip()], "amplitudes header")
     if width < 1:
         raise ParseError(f"amplitudes: invalid width {width}")
     if len(lines) != width + 1:
         raise ParseError(f"amplitudes: expected {width} entries, found {len(lines) - 1}")
-    values = []
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
+    pairs = [line.split() for line in lines[1:]]
+    for line, pair in zip(lines[1:], pairs):
+        if len(pair) != 2:
             raise ParseError(f"amplitudes: expected 're im', got {line!r}")
-        values.append(complex(_float(parts[0], "amplitude"), _float(parts[1], "amplitude")))
-    amplitudes = np.array(values, dtype=complex)
+    values = _numbers(float, [token for pair in pairs for token in pair], "amplitude")
+    amplitudes = np.array(values).view(complex)
     _check_finite(amplitudes, "amplitudes")
     return amplitudes
-
-
-def format_amplitudes(amplitudes) -> str:
-    vec = np.asarray(amplitudes, dtype=complex)
-    lines = [f"n={vec.shape[0]}"]
-    lines.extend(f"{z.real:.17g} {z.imag:.17g}" for z in vec)
-    return "\n".join(lines) + "\n"
 
 
 def parse_circuit(text: str) -> Circuit:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines or not lines[0].startswith("width="):
         raise ParseError("circuit: first line must be 'width=<n>'")
-    width = _int(lines[0][6:].strip(), "circuit header")
-    elements = []
-    for line in lines[1:]:
-        parts = line.split()
-        try:
-            if parts[0] == "BS" and len(parts) == 5:
-                elements.append(
-                    Beamsplitter(
-                        _int(parts[1], "circuit"),
-                        _int(parts[2], "circuit"),
-                        _float(parts[3], "circuit"),
-                        _float(parts[4], "circuit"),
-                    )
-                )
-            elif parts[0] == "PS" and len(parts) == 3:
-                elements.append(
-                    PhaseShifter(_int(parts[1], "circuit"), _float(parts[2], "circuit"))
-                )
-            else:
-                raise ParseError(f"circuit: unrecognized element line {line!r}")
-        except ValueError as exc:
-            if isinstance(exc, ParseError):
-                raise
-            raise ParseError(f"circuit: invalid element {line!r}: {exc}") from None
+    (width,) = _numbers(int, [lines[0][6:].strip()], "circuit header")
+    body = lines[1:]
+    rows = [line.split() for line in body]
+    coupler = [len(p) == 5 and p[0] == "BS" for p in rows]
+    for line, p, bs in zip(body, rows, coupler):
+        if not bs and (len(p) != 3 or p[0] != "PS"):
+            raise ParseError(f"circuit: unrecognized element line {line!r}")
+    # Every row becomes (i, j, theta, phi); "PS i phi" reads as (i, i, 0, phi).
+    fields = [p[1:] if bs else (p[1], p[1], "0", p[2]) for p, bs in zip(rows, coupler)]
+    ints = _numbers(int, [t for f in fields for t in f[:2]], "circuit")
+    angles = np.array(_numbers(float, [t for f in fields for t in f[2:]], "circuit"))
     try:
-        return Circuit(width, tuple(elements))
+        modes = np.array(ints, dtype=np.intp).reshape(-1, 2)
+    except OverflowError:
+        raise ParseError("circuit: a mode index is out of range") from None
+    coupler = np.array(coupler, dtype=bool)
+    theta, phi = angles.reshape(-1, 2).T
+    defect = element_defect(modes, coupler, theta, phi)
+    if defect is not None:
+        row, exc = defect
+        raise ParseError(f"circuit: invalid element {body[row]!r}: {exc}")
+    try:
+        return Circuit(width, columns=(modes, coupler, theta, phi))
     except ValueError as exc:
         raise ParseError(f"circuit: {exc}") from None
 
 
 def format_circuit(circuit: Circuit) -> str:
     lines = [f"width={circuit.width}"]
-    for element in circuit.elements:
-        if isinstance(element, Beamsplitter):
-            lines.append(
-                f"BS {element.mode1} {element.mode2} "
-                f"{element.theta:.17g} {element.phi:.17g}"
-            )
-        else:
-            lines.append(f"PS {element.mode} {element.phi:.17g}")
+    lines += [
+        f"BS {i} {j} {t:.17g} {p:.17g}" if bs else f"PS {i} {p:.17g}"
+        for (i, j), bs, t, p in zip(*(column.tolist() for column in circuit.columns))
+    ]
     return "\n".join(lines) + "\n"
 
 
 def read_matrix(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix(fh.read())
+    return parse_matrix(Path(path).read_text(encoding="utf-8"))
 
 
 def read_amplitudes(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_amplitudes(fh.read())
+    return parse_amplitudes(Path(path).read_text(encoding="utf-8"))
 
 
 def read_circuit(path) -> Circuit:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_circuit(fh.read())
+    return parse_circuit(Path(path).read_text(encoding="utf-8"))
 
 
 def write_circuit(path, circuit: Circuit) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_circuit(circuit))
+    Path(path).write_text(format_circuit(circuit), encoding="utf-8")

@@ -214,6 +214,11 @@ def _search_operator(n: int, c: float, mode: str) -> np.ndarray:
     return u
 
 
+def search_operator(spec: SearchSpec, mode: str = DILATION) -> np.ndarray:
+    """The cached identification unitary; raises if ``mode`` cannot serve ``spec``."""
+    return _search_operator(spec.n, spec.c, mode)
+
+
 def _search_input(spec: SearchSpec) -> np.ndarray:
     starred = np.zeros(2 * (spec.n + 1), dtype=complex)
     starred[: spec.n + 1] = np.conj((spec.data, *spec.references))
@@ -252,7 +257,7 @@ def run_search(
     seed, ..., seed + trials - 1 (all in [0, 2**64)) and returns a
     ``SearchBatch`` whose row t equals the single trial ``seed + t``.
     """
-    u = _search_operator(spec.n, spec.c, mode)
+    u = search_operator(spec, mode)
     ports = range(1, spec.n + 1)
     if trials is None:
         # The operator is cached read-only and the input is built here, so
@@ -287,7 +292,7 @@ def restore(outcome: SearchOutcome, spec: SearchSpec) -> np.ndarray:
             f"retained group has width {outcome.retained.shape[0]}, "
             f"expected {spec.n + 1}"
         )
-    u = _search_operator(spec.n, spec.c, outcome.mode)
+    u = search_operator(spec, outcome.mode)
     fresh = apply_matrix(u, _search_input(spec))
     reassembled = np.concatenate([fresh[: spec.n + 1], outcome.retained])
     return apply_matrix(u.conj().T, reassembled)

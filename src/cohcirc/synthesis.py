@@ -1,12 +1,19 @@
 """Circuit synthesis: triangular-mesh decomposition of unitaries and
 block dilation of contractions.
 
-A :class:`Circuit` is an ordered element list over a fixed number of
-modes; list order is physical order, the first element acts first.  A
-circuit is lowered once into index and coefficient arrays scheduled into
-layers of elements on disjoint modes, and one kernel, :func:`propagate`,
-applies those layers to a vector or a block of vectors.
-``compile_circuit`` is that kernel applied to the identity.
+A :class:`Circuit` holds its elements as columns, one row per element in
+physical order.  It is lowered once into layers of elements on disjoint
+modes, and one kernel, :func:`propagate`, applies the layers to a vector
+or a block; ``compile_circuit`` is that kernel applied to the identity.
+
+:func:`reck_decompose` nulls a row in closed form.  Nulling entry ``a_k``
+against the pivot keeps the pivot's phase ``arg b_0`` and raises its
+modulus to ``r_{k+1} = sqrt(r_k^2 + |a_k|^2)`` from ``r_0 = |b_0|``, so
+``theta_k = atan2(|a_k|, r_k)`` and ``phi_k = arg a_k - arg b_0 + pi/2``.
+With ``g_k = i |a_k| e^{-i phi_k}`` and the prefix sum
+``S_k = |b_0| y_0 + sum_{j<k} g_j x_j`` over the original columns, the
+pivot column before step k is ``y_k = S_k / r_k`` and column k becomes
+``(r_k x_k - conj(g_k) y_k) / r_{k+1}``.
 """
 
 from __future__ import annotations
@@ -15,7 +22,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
 
 import numpy as np
 
@@ -25,35 +31,83 @@ from .elements import (
     OpticalElement,
     PhaseShifter,
     beamsplitter_matrix,
+    element_error,
     phaseshifter_factor,
 )
 from .errors import ContractionError, DimensionError, SynthesisError
 
 
-@dataclass(frozen=True)
+def element_defect(modes, coupler, theta, phi) -> tuple[int, ValueError] | None:
+    """(row, error) for the first row no element constructor accepts, or None."""
+    bad = (modes < 0).any(axis=1) | (coupler & (modes[:, 0] == modes[:, 1]))
+    rows = np.flatnonzero(bad | ~(np.isfinite(theta) & np.isfinite(phi)))
+    if not rows.size:
+        return None
+    k = int(rows[0])
+    return k, element_error(tuple(modes[k, : 1 + coupler[k]].tolist()), (theta[k], phi[k]))
+
+
 class Circuit:
-    """An ordered beamsplitter/phase-shifter sequence on ``width`` modes."""
+    """An ordered beamsplitter/phase-shifter sequence on ``width`` modes.
 
-    width: int
-    elements: tuple[OpticalElement, ...] = ()
+    Held as read-only ``columns``: integer ``modes`` ``(k, 2)`` (a phase
+    shifter repeats its mode), the beamsplitter mask ``coupler``,
+    ``theta`` (0 for a phase shifter) and ``phi``.  Give either element
+    objects or the columns; rows are checked as the element constructors
+    check them, and ``elements`` is derived from the columns on first use.
+    """
 
-    def __post_init__(self):
-        if self.width < 1:
+    def __init__(self, width: int, elements=(), columns=None):
+        if columns is None:
+            elements = self.__dict__["elements"] = tuple(elements)
+            columns = (
+                [(e.modes * 2)[:2] for e in elements],
+                [isinstance(e, Beamsplitter) for e in elements],
+                [getattr(e, "theta", 0.0) for e in elements],
+                [e.phi for e in elements],
+            )
+        modes = np.array(columns[0], dtype=np.intp).reshape(-1, 2)
+        dtypes = (bool, float, float)
+        coupler, theta, phi = (np.array(c, dtype) for c, dtype in zip(columns[1:], dtypes))
+        defect = element_defect(modes, coupler, theta, phi)
+        if defect is not None:
+            raise defect[1]
+        if width < 1:
             raise DimensionError("circuit width must be at least 1")
-        object.__setattr__(self, "elements", tuple(self.elements))
-        for element in self.elements:
-            if max(element.modes) >= self.width:
-                raise DimensionError(
-                    f"element modes {element.modes} exceed circuit width {self.width}"
-                )
+        beyond = np.flatnonzero(modes.max(axis=1, initial=0) >= width)
+        if beyond.size:
+            shown = tuple(modes[beyond[0], : 1 + coupler[beyond[0]]].tolist())
+            raise DimensionError(f"element modes {shown} exceed circuit width {width}")
+        for column in (modes, coupler, theta, phi):
+            column.flags.writeable = False
+        self.width = width
+        self.columns = self.modes, self.coupler, self.theta, self.phi = modes, coupler, theta, phi
+
+    @cached_property
+    def elements(self) -> tuple[OpticalElement, ...]:
+        return tuple(
+            Beamsplitter(i, j, t, p) if c else PhaseShifter(i, p)
+            for (i, j), c, t, p in zip(*(column.tolist() for column in self.columns))
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, Circuit):
+            return NotImplemented
+        return self.width == other.width and all(map(np.array_equal, self.columns, other.columns))
+
+    def __hash__(self):
+        return hash((self.width, self.elements))
+
+    def __repr__(self):
+        return f"Circuit(width={self.width!r}, elements={self.elements!r})"
 
     @property
     def beamsplitter_count(self) -> int:
-        return sum(isinstance(e, Beamsplitter) for e in self.elements)
+        return int(np.count_nonzero(self.coupler))
 
     @property
     def phase_shifter_count(self) -> int:
-        return sum(isinstance(e, PhaseShifter) for e in self.elements)
+        return len(self.coupler) - self.beamsplitter_count
 
     @cached_property
     def lowered(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
@@ -68,44 +122,24 @@ class Circuit:
         beamsplitter and one per phase shifter (whose ``coef[1]`` is 0).
         """
         free = [0] * self.width  # first layer in which each mode is idle
-        couplers, pair_layer, shifters, phase_layer = [], [], [], []
-        for element in self.elements:
-            if isinstance(element, Beamsplitter):
-                i, j = element.modes
-                at = free[i] if free[i] > free[j] else free[j]
-                free[i] = free[j] = at + 1
-                couplers.append(element)
-                pair_layer.append(at)
-            else:
-                (i,) = element.modes
-                phase_layer.append(free[i])
-                free[i] += 1
-                shifters.append(element)
-
-        def column(items, attr, dtype):
-            return np.fromiter(map(attrgetter(attr), items), dtype, len(items))
-
-        pairs = np.stack(
-            [column(couplers, "mode1", np.intp), column(couplers, "mode2", np.intp)], 1
-        )
-        blocks = beamsplitter_matrix(
-            column(couplers, "theta", float), column(couplers, "phi", float)
-        )
-        phase_modes = column(shifters, "mode", np.intp)
-        phase_factors = phaseshifter_factor(column(shifters, "phi", float))
+        layer = []
+        for i, j in self.modes.tolist():  # a phase shifter has i == j
+            at = free[i] if free[i] > free[j] else free[j]
+            free[i] = free[j] = at + 1
+            layer.append(at)
+        layer = np.array(layer, dtype=np.intp)
+        bs, shifter = self.coupler, ~self.coupler
+        pairs = self.modes[bs]
+        blocks = beamsplitter_matrix(self.theta[bs], self.phi[bs])
+        phase_factors = phaseshifter_factor(self.phi[shifter])
 
         # One row per updated amplitude, holding its (dst, other source)
         # indices and (own, other) coefficients: rows i and j of each
         # beamsplitter and row p of each phase shifter.
-        sources = np.concatenate([pairs, pairs[:, ::-1], np.stack([phase_modes] * 2, 1)])
-        coefs = np.concatenate(
-            [
-                blocks[:, 0, :],
-                blocks[:, 1, ::-1],
-                np.stack([phase_factors, np.zeros_like(phase_factors)], 1),
-            ]
-        )
-        row_layer = np.array(pair_layer * 2 + phase_layer, dtype=np.intp)
+        sources = np.concatenate([pairs, pairs[:, ::-1], self.modes[shifter]])
+        shifts = np.stack([phase_factors, np.zeros_like(phase_factors)], 1)
+        coefs = np.concatenate([blocks[:, 0, :], blocks[:, 1, ::-1], shifts])
+        row_layer = np.concatenate([layer[bs], layer[bs], layer[shifter]])
         order = np.argsort(row_layer, kind="stable")
         src = sources.T[:, order]
         coef = coefs.T[:, order]
@@ -139,16 +173,17 @@ def reck_decompose(u, tol: float = linalg.UNITARY_TOL, full_mesh: bool = False) 
     """Factor a unitary into a triangular beamsplitter mesh plus phases.
 
     Works row by row from the bottom: each off-diagonal entry of the
-    current last row is nulled by mixing its column into the diagonal
-    one, peeling off a phase and recursing on the remaining block.  The
-    emitted circuit uses at most N(N-1)/2 beamsplitters followed by at
-    most N phase shifters and compiles back to ``u`` within ~10*tol.
+    current last row, from the diagonal leftwards, is nulled by mixing
+    its column into the diagonal one (in closed form, see the module
+    docstring), which leaves a phase and a smaller unitary.  The emitted
+    circuit uses at most N(N-1)/2 beamsplitters followed by at most N
+    phase shifters and compiles back to ``u`` within ~10*tol.
 
     Entries already below ``tol`` normally emit nothing; with
     ``full_mesh=True`` they emit theta=0 couplers instead, so the
     layout is always the complete triangular mesh.
     """
-    w = linalg.as_matrix(u).copy()
+    w = linalg.as_matrix(u)
     n = w.shape[0]
     if w.shape[0] != w.shape[1]:
         raise SynthesisError(f"only square matrices can be decomposed, got {w.shape}")
@@ -156,45 +191,55 @@ def reck_decompose(u, tol: float = linalg.UNITARY_TOL, full_mesh: bool = False) 
     if not defect <= tol:  # a nan defect fails too
         raise SynthesisError(f"input is not unitary: max|U U^dag - I| = {defect:.3e}")
 
-    # Column updates run on rows of the transposed copy, which are
-    # contiguous.  Rows below ``row`` of the columns being mixed are
-    # already zero, so only the first ``row + 1`` entries change.
+    # Row m of ``wt`` is column m of the target.  Rows below ``row`` of
+    # the columns being mixed are already zero, so only their first
+    # ``row`` entries change; of the pivot column only the diagonal entry
+    # is read again.  Per coupler, in emission order, the loop keeps the
+    # nulled entry a_k, the pivot norm r_k and arg b_0 for the angles.
     wt = w.T.copy()
-    elements: list[OpticalElement] = []
+    count = n * (n - 1) // 2
+    targets, norms, pivot_args = np.zeros(count, complex), np.zeros(count), np.zeros(count)
+    end = 0
     for row in range(n - 1, 0, -1):
-        targets = wt[:row, row].tolist()
-        y = wt[row, : row + 1]
-        for col in range(row - 1, -1, -1):
-            a = targets[col]
-            if abs(a) <= tol:
-                wt[col, row] = 0.0
-                if full_mesh:
-                    elements.append(Beamsplitter(col, row, 0.0, 0.0))
-                continue
-            b = complex(wt[row, row])
-            theta = math.atan2(abs(a), abs(b))
-            phi = cmath.phase(a) - cmath.phase(b) + math.pi / 2
-            phi = (phi + math.pi) % (2 * math.pi) - math.pi
-            c = math.cos(theta)
-            s = math.sin(theta)
-            # [x y] <- [x y] @ beamsplitter_matrix(theta, phi), in place.
-            e = cmath.exp(1j * phi)
-            x = wt[col, : row + 1]
-            from_x = x * (1j * s * e.conjugate())
-            x *= c
-            x += y * (1j * s * e)
-            y *= c
-            y += from_x
-            wt[col, row] = 0.0
-            elements.append(Beamsplitter(col, row, -theta, phi))
+        start, end = end, end + row
+        a = targets[start:end]
+        a[:] = wt[row - 1 :: -1, row]  # column row - 1 first
+        wt[:row, row] = 0.0
+        kept = np.abs(a) > tol
+        if not kept.any():
+            continue
+        col, a = row - 1 - np.flatnonzero(kept), a[kept]
+        b0 = complex(wt[row, row])
+        r = np.sqrt(np.cumsum(np.concatenate([[abs(b0) ** 2], np.abs(a) ** 2])))
+        norms[start:end][kept] = r[:-1]
+        pivot_args[start:end] = cmath.phase(b0)
+        g = a.conj() * cmath.exp(1j * cmath.phase(b0))  # g_k = i |a_k| e^{-i phi_k}
+        x = wt[col, :row]
+        y0 = wt[row, :row]
+        s = g[:-1, None] * x[:-1]
+        s[:1] += abs(b0) * y0
+        np.cumsum(s, axis=0, out=s)  # s[k - 1] = S_k = r_k y_k
+        x *= (r[:-1] / r[1:])[:, None]
+        x[0] -= (g[0].conjugate() / r[1]) * y0
+        x[1:] -= (g[1:].conj() / (r[1:-1] * r[2:]))[:, None] * s
+        wt[col, :row] = x
+        wt[row, row] = (abs(b0) * b0 + g @ a) / r[-1]
 
+    kept = np.abs(targets) > tol
+    theta = np.where(kept, -np.arctan2(np.abs(targets), norms), 0.0)
+    phi = (np.angle(targets) - pivot_args + math.pi / 2 + math.pi) % (2 * math.pi) - math.pi
+    phi = np.where(kept, phi, 0.0)
+    emit = kept | full_mesh
+    rows, cols = (index[::-1][emit] for index in np.tril_indices(n, -1))
     # What is left is diagonal with unit-modulus entries; realize it as
     # a trailing phase-shifter layer, dropping phases that round to 0.
-    for mode, d in enumerate(np.diagonal(wt).tolist()):
-        if abs(d - 1.0) <= tol:
-            continue
-        elements.append(PhaseShifter(mode, -cmath.phase(d)))
-    return Circuit(width=n, elements=tuple(elements))
+    d = np.diagonal(wt)
+    shifted = np.flatnonzero(np.abs(d - 1.0) > tol)
+    modes = np.stack([np.concatenate([cols, shifted]), np.concatenate([rows, shifted])], 1)
+    coupler = np.arange(len(modes)) < len(cols)
+    theta = np.concatenate([theta[emit], np.zeros(shifted.size)])
+    phi = np.concatenate([phi[emit], -np.angle(d[shifted])])
+    return Circuit(n, columns=(modes, coupler, theta, phi))
 
 
 @dataclass(frozen=True)

@@ -36,5 +36,18 @@ def random_circuit(rng, width: int, n_elements: int) -> Circuit:
     return Circuit(width, tuple(elements))
 
 
+def format_matrix(m) -> str:
+    """A matrix in the file format ``parse_matrix`` reads, 17 significant digits."""
+    a = np.asarray(m, dtype=complex)
+    rows = [" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row) for row in a]
+    return "\n".join([f"{a.shape[0]} {a.shape[1]}", *rows]) + "\n"
+
+
+def format_amplitudes(amplitudes) -> str:
+    """An amplitude vector in the file format ``parse_amplitudes`` reads."""
+    vec = np.asarray(amplitudes, dtype=complex)
+    return "\n".join([f"n={vec.shape[0]}", *(f"{z.real:.17g} {z.imag:.17g}" for z in vec)]) + "\n"
+
+
 def random_amplitudes(rng, width: int, scale: float = 2.0) -> np.ndarray:
     return scale * (rng.standard_normal(width) + 1j * rng.standard_normal(width))

@@ -3,7 +3,8 @@ import pytest
 
 from cohcirc import SearchSpec, cli, comparison_map, run_search, search_unitary_explicit
 from cohcirc.cli import main
-from cohcirc.formats import format_amplitudes, format_matrix, read_circuit
+from cohcirc.formats import read_circuit
+from conftest import format_amplitudes, format_matrix
 
 
 def test_synth_identity(tmp_path, capsys):
@@ -320,6 +321,8 @@ BAD_INPUT_FILES = {
         (["run", "splitter.txt", "huge_output.txt"], 2),
         (["synth", "huge_matrix.txt", "out.txt"], 2),
         (["search", "--refs", "0,0;3,0", "--data=0.2,0", "--trials=1000", "--out=o.csv"], 1),
+        (["search", "--refs=0,0;1,0;2,0", "--data=0,0", "--mode=explicit", "--out", "x.csv"], 2),
+        (["search", "--refs", "0,0;0,0", "--data", "0,0"], 1),
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -330,6 +333,15 @@ def test_bad_input_exits_with_one_error_line(argv, code, tmp_path, monkeypatch, 
     assert main(argv) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+    # A rejected search opens no output file.
+    outputs = [argv[i + 1] for i, arg in enumerate(argv) if arg == "--out"]
+    outputs += [arg.removeprefix("--out=") for arg in argv if arg.startswith("--out=")]
+    assert not any((tmp_path / path).exists() for path in outputs)
+
+
+def test_accepted_search_with_coincident_references_still_warns(capsys):
+    with pytest.warns(UserWarning, match="references 1 and 2 coincide"):
+        assert main(["search", "--refs", "0,0;0,0;1,0", "--data", "1,0"]) == 0
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-10"])

@@ -4,15 +4,14 @@ import pytest
 from cohcirc import Beamsplitter, Circuit, PhaseShifter, compile_circuit
 from cohcirc.formats import (
     ParseError,
-    format_amplitudes,
     format_circuit,
-    format_matrix,
     parse_amplitudes,
     parse_circuit,
     parse_matrix,
     read_matrix,
 )
 from cohcirc.linalg import max_abs
+from conftest import format_amplitudes, format_matrix
 
 
 def test_matrix_roundtrip():
@@ -71,6 +70,7 @@ def test_circuit_roundtrip():
     )
     parsed = parse_circuit(format_circuit(circuit))
     assert parsed.width == 3
+    assert parsed == circuit
     assert max_abs(compile_circuit(parsed) - compile_circuit(circuit)) <= 1e-15
 
 
@@ -111,7 +111,10 @@ CIRCUIT_DEFECTS = [
         "width=3\nBS 1 1 0.5 0.1\n",
         "circuit: invalid element 'BS 1 1 0.5 0.1': beamsplitter modes must be distinct",
     ),
-    ("width=3\nBS 0 1 0.5 0.1\nBS 0 3 0.5 0.1\n", "circuit: element modes (0, 3) exceed circuit width 3"),
+    (
+        "width=3\nBS 0 1 0.5 0.1\nBS 0 3 0.5 0.1\n",
+        "circuit: element modes (0, 3) exceed circuit width 3",
+    ),
     ("width=3\nPS 3 0.1\n", "circuit: element modes (3,) exceed circuit width 3"),
     (
         "width=3\nBS 0 1 nan 0.1\n",

@@ -16,7 +16,9 @@ from cohcirc import (
     PhaseShifter,
     apply_circuit,
     beamsplitter_matrix,
+    comparison_map,
     compile_circuit,
+    dilate,
     phaseshifter_factor,
     random_unitary,
     reck_decompose,
@@ -179,7 +181,7 @@ def adversarial_unitaries():
     zero, or whole rows are already reduced."""
     rng = np.random.default_rng(43)
     n = 12
-    permutation = np.eye(n)[rng.permutation(n)] * np.exp(2j * np.pi * rng.random(n))
+    permutation = np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], n)
     idx = np.arange(n)
     dft = np.exp(2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
     h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -225,3 +227,16 @@ def test_reck_matches_in_place_loop_on_adversarial_families(family, full_mesh):
     # exp_iH has entries under the skip tolerance, so neither mesh is exact there.
     residual = max_abs(compile_circuit(circuit) - u)
     assert residual <= max_abs(compile_circuit(oracle) - u) + 1e-14
+
+
+@pytest.mark.parametrize("n", [6, 12])
+def test_reck_round_trip_with_exactly_zero_pivots(n):
+    # An exactly zero pivot has no phase of its own: the mesh takes the
+    # phase of its signed zeros, which depend on the order of arithmetic,
+    # so only the round trip is pinned here, not the in-place loop's angles.
+    rng = np.random.default_rng(44 + n)
+    phased = np.eye(n)[rng.permutation(n)] * np.exp(2j * np.pi * rng.random(n))
+    search, _ = dilate(comparison_map(n))
+    for u in (phased, search):
+        for full_mesh in (False, True):
+            assert max_abs(compile_circuit(reck_decompose(u, full_mesh=full_mesh)) - u) <= 1e-14
