@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .synthesis import Circuit, element_defect
+from .synthesis import Circuit
 
 
 class ParseError(ValueError):
@@ -25,8 +25,7 @@ class ParseError(ValueError):
 
 
 def _numbers(convert, tokens: list[str], context: str) -> list:
-    """``convert`` (int or float) applied to every token; the first token
-    it rejects raises :class:`ParseError`."""
+    """``convert`` (int or float) of every token; a token it rejects raises ParseError."""
     try:
         return list(map(convert, tokens))
     except ValueError:
@@ -99,22 +98,14 @@ def parse_circuit(text: str) -> Circuit:
             raise ParseError(f"circuit: unrecognized element line {line!r}")
     # Every row becomes (i, j, theta, phi); "PS i phi" reads as (i, i, 0, phi).
     fields = [p[1:] if bs else (p[1], p[1], "0", p[2]) for p, bs in zip(rows, coupler)]
-    ints = _numbers(int, [t for f in fields for t in f[:2]], "circuit")
-    angles = np.array(_numbers(float, [t for f in fields for t in f[2:]], "circuit"))
+    modes = _numbers(int, [t for f in fields for t in f[:2]], "circuit")
+    angles = _numbers(float, [t for f in fields for t in f[2:]], "circuit")
     try:
-        modes = np.array(ints, dtype=np.intp).reshape(-1, 2)
-    except OverflowError:
-        raise ParseError("circuit: a mode index is out of range") from None
-    coupler = np.array(coupler, dtype=bool)
-    theta, phi = angles.reshape(-1, 2).T
-    defect = element_defect(modes, coupler, theta, phi)
-    if defect is not None:
-        row, exc = defect
-        raise ParseError(f"circuit: invalid element {body[row]!r}: {exc}")
-    try:
-        return Circuit(width, columns=(modes, coupler, theta, phi))
+        return Circuit(width, columns=(modes, coupler, angles[0::2], angles[1::2]))
     except ValueError as exc:
-        raise ParseError(f"circuit: {exc}") from None
+        row = getattr(exc, "row", None)
+        where = "" if row is None else f"invalid element {body[row]!r}: "
+        raise ParseError(f"circuit: {where}{exc}") from None
 
 
 def format_circuit(circuit: Circuit) -> str:

@@ -37,14 +37,17 @@ from .elements import (
 from .errors import ContractionError, DimensionError, SynthesisError
 
 
-def element_defect(modes, coupler, theta, phi) -> tuple[int, ValueError] | None:
-    """(row, error) for the first row no element constructor accepts, or None."""
+def _element_defect(modes, coupler, theta, phi) -> ValueError | None:
+    """The error of the first row no element constructor accepts, with
+    the row's index as ``row``; None when every row is an element."""
     bad = (modes < 0).any(axis=1) | (coupler & (modes[:, 0] == modes[:, 1]))
     rows = np.flatnonzero(bad | ~(np.isfinite(theta) & np.isfinite(phi)))
     if not rows.size:
         return None
     k = int(rows[0])
-    return k, element_error(tuple(modes[k, : 1 + coupler[k]].tolist()), (theta[k], phi[k]))
+    error = element_error(tuple(modes[k, : 1 + coupler[k]].tolist()), (theta[k], phi[k]))
+    error.row = k  # for messages that name where the element came from
+    return error
 
 
 class Circuit:
@@ -54,7 +57,8 @@ class Circuit:
     shifter repeats its mode), the beamsplitter mask ``coupler``,
     ``theta`` (0 for a phase shifter) and ``phi``.  Give either element
     objects or the columns; rows are checked as the element constructors
-    check them, and ``elements`` is derived from the columns on first use.
+    check them (the error for a bad row carries its index as ``row``), and
+    ``elements`` is derived from the columns on first use.
     """
 
     def __init__(self, width: int, elements=(), columns=None):
@@ -66,12 +70,15 @@ class Circuit:
                 [getattr(e, "theta", 0.0) for e in elements],
                 [e.phi for e in elements],
             )
-        modes = np.array(columns[0], dtype=np.intp).reshape(-1, 2)
+        try:
+            modes = np.array(columns[0], dtype=np.intp).reshape(-1, 2)
+        except OverflowError:
+            raise DimensionError("element modes exceed the index range") from None
         dtypes = (bool, float, float)
         coupler, theta, phi = (np.array(c, dtype) for c, dtype in zip(columns[1:], dtypes))
-        defect = element_defect(modes, coupler, theta, phi)
+        defect = _element_defect(modes, coupler, theta, phi)
         if defect is not None:
-            raise defect[1]
+            raise defect
         if width < 1:
             raise DimensionError("circuit width must be at least 1")
         beyond = np.flatnonzero(modes.max(axis=1, initial=0) >= width)
