@@ -70,10 +70,10 @@ class Circuit:
                 [getattr(e, "theta", 0.0) for e in elements],
                 [e.phi for e in elements],
             )
-        try:
-            modes = np.array(columns[0], dtype=np.intp).reshape(-1, 2)
-        except OverflowError:
-            raise DimensionError("element modes exceed the index range") from None
+        modes = np.asarray(columns[0])
+        if modes.size and modes.dtype.kind not in "iu":
+            raise DimensionError("element modes must be integers within the index range")
+        modes = modes.astype(np.intp).reshape(-1, 2)
         dtypes = (bool, float, float)
         coupler, theta, phi = (np.array(c, dtype) for c, dtype in zip(columns[1:], dtypes))
         defect = _element_defect(modes, coupler, theta, phi)

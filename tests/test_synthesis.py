@@ -232,3 +232,12 @@ def test_circuit_error_messages_are_pinned(build, error, message):
     with pytest.raises(error) as caught:
         build()
     assert str(caught.value) == message
+
+
+def test_circuit_columns_must_be_integer_modes_in_range():
+    with pytest.raises(DimensionError, match="integers"):
+        Circuit(3, columns=([[0.5, 1]], [True], [0.1], [0.2]))
+    with pytest.raises(DimensionError, match="integers"):
+        Circuit(3, (Beamsplitter(0, 2**70, 0.1, 0.2),))
+    built = Circuit(3, columns=(np.array([[0, 2], [1, 1]]), [True, False], [0.1, 0.0], [0.2, 0.3]))
+    assert built == Circuit(3, (Beamsplitter(0, 2, 0.1, 0.2), PhaseShifter(1, 0.3)))
