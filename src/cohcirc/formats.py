@@ -13,8 +13,6 @@ Circuit:     first line "width=<n>", then one element per line in
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from .synthesis import Circuit
@@ -118,16 +116,20 @@ def format_circuit(circuit: Circuit) -> str:
 
 
 def read_matrix(path) -> np.ndarray:
-    return parse_matrix(Path(path).read_text(encoding="utf-8"))
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_matrix(fh.read())
 
 
 def read_amplitudes(path) -> np.ndarray:
-    return parse_amplitudes(Path(path).read_text(encoding="utf-8"))
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_amplitudes(fh.read())
 
 
 def read_circuit(path) -> Circuit:
-    return parse_circuit(Path(path).read_text(encoding="utf-8"))
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_circuit(fh.read())
 
 
 def write_circuit(path, circuit: Circuit) -> None:
-    Path(path).write_text(format_circuit(circuit), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(format_circuit(circuit))

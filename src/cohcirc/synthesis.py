@@ -37,19 +37,6 @@ from .elements import (
 from .errors import ContractionError, DimensionError, SynthesisError
 
 
-def _element_defect(modes, coupler, theta, phi) -> ValueError | None:
-    """The error of the first row no element constructor accepts, with
-    the row's index as ``row``; None when every row is an element."""
-    bad = (modes < 0).any(axis=1) | (coupler & (modes[:, 0] == modes[:, 1]))
-    rows = np.flatnonzero(bad | ~(np.isfinite(theta) & np.isfinite(phi)))
-    if not rows.size:
-        return None
-    k = int(rows[0])
-    error = element_error(tuple(modes[k, : 1 + coupler[k]].tolist()), (theta[k], phi[k]))
-    error.row = k  # for messages that name where the element came from
-    return error
-
-
 class Circuit:
     """An ordered beamsplitter/phase-shifter sequence on ``width`` modes.
 
@@ -76,14 +63,19 @@ class Circuit:
         modes = modes.astype(np.intp).reshape(-1, 2)
         dtypes = (bool, float, float)
         coupler, theta, phi = (np.array(c, dtype) for c, dtype in zip(columns[1:], dtypes))
-        defect = _element_defect(modes, coupler, theta, phi)
-        if defect is not None:
-            raise defect
+        bad = (modes < 0).any(axis=1) | (coupler & (modes[:, 0] == modes[:, 1]))
+        bad |= ~(np.isfinite(theta) & np.isfinite(phi))
+        if bad.any():
+            k = int(bad.argmax())
+            error = element_error(tuple(modes[k, : 1 + coupler[k]].tolist()), (theta[k], phi[k]))
+            error.row = k  # for messages that name where the element came from
+            raise error
         if width < 1:
             raise DimensionError("circuit width must be at least 1")
-        beyond = np.flatnonzero(modes.max(axis=1, initial=0) >= width)
-        if beyond.size:
-            shown = tuple(modes[beyond[0], : 1 + coupler[beyond[0]]].tolist())
+        beyond = modes.max(axis=1, initial=0) >= width
+        if beyond.any():
+            k = beyond.argmax()
+            shown = tuple(modes[k, : 1 + coupler[k]].tolist())
             raise DimensionError(f"element modes {shown} exceed circuit width {width}")
         for column in (modes, coupler, theta, phi):
             column.flags.writeable = False
@@ -198,55 +190,59 @@ def reck_decompose(u, tol: float = linalg.UNITARY_TOL, full_mesh: bool = False) 
     if not defect <= tol:  # a nan defect fails too
         raise SynthesisError(f"input is not unitary: max|U U^dag - I| = {defect:.3e}")
 
-    # Row m of ``wt`` is column m of the target.  Rows below ``row`` of
-    # the columns being mixed are already zero, so only their first
-    # ``row`` entries change; of the pivot column only the diagonal entry
-    # is read again.  Per coupler, in emission order, the loop keeps the
-    # nulled entry a_k, the pivot norm r_k and arg b_0 for the angles.
+    # Row m of ``wt`` is column m of the target.  Rows below ``row`` of the
+    # columns being mixed are already zero, so only their first ``row``
+    # entries change, and of the pivot column only the diagonal is read
+    # again.  Per coupler the loop keeps a_k, r_k and arg b_0 for the angles.
     wt = w.T.copy()
     count = n * (n - 1) // 2
-    targets, norms, pivot_args = np.zeros(count, complex), np.zeros(count), np.zeros(count)
+    targets, norms, pivot_args = np.zeros(count, complex), np.ones(count), np.zeros(count)
     end = 0
     for row in range(n - 1, 0, -1):
         start, end = end, end + row
         a = targets[start:end]
         a[:] = wt[row - 1 :: -1, row]  # column row - 1 first
         wt[:row, row] = 0.0
-        kept = np.abs(a) > tol
-        if not kept.any():
+        size = np.abs(a)
+        (k,) = (size > tol).nonzero()
+        if not k.size:
             continue
-        col, a = row - 1 - np.flatnonzero(kept), a[kept]
+        if k.size < row:
+            a, size = a[k], size[k]
         b0 = complex(wt[row, row])
-        r = np.sqrt(np.cumsum(np.concatenate([[abs(b0) ** 2], np.abs(a) ** 2])))
-        norms[start:end][kept] = r[:-1]
-        pivot_args[start:end] = cmath.phase(b0)
-        g = a.conj() * cmath.exp(1j * cmath.phase(b0))  # g_k = i |a_k| e^{-i phi_k}
+        r = np.hypot.accumulate(np.concatenate(([abs(b0)], size)))
+        norms[start + k] = r[:-1]
+        pivot_args[start:end] = arg = cmath.phase(b0)
+        g = a.conj() * cmath.exp(1j * arg)  # g_k = i |a_k| e^{-i phi_k}
+        col = row - 1 - k
         x = wt[col, :row]
         y0 = wt[row, :row]
+        h = g.conj() / r[1:]
         s = g[:-1, None] * x[:-1]
         s[:1] += abs(b0) * y0
-        np.cumsum(s, axis=0, out=s)  # s[k - 1] = S_k = r_k y_k
+        s.cumsum(0, out=s)  # s[k - 1] = S_k = r_k y_k
         x *= (r[:-1] / r[1:])[:, None]
-        x[0] -= (g[0].conjugate() / r[1]) * y0
-        x[1:] -= (g[1:].conj() / (r[1:-1] * r[2:]))[:, None] * s
+        x[0] -= h[0] * y0
+        x[1:] -= (h[1:] / r[1:-1])[:, None] * s
         wt[col, :row] = x
         wt[row, row] = (abs(b0) * b0 + g @ a) / r[-1]
 
-    kept = np.abs(targets) > tol
-    theta = np.where(kept, -np.arctan2(np.abs(targets), norms), 0.0)
-    phi = (np.angle(targets) - pivot_args + math.pi / 2 + math.pi) % (2 * math.pi) - math.pi
-    phi = np.where(kept, phi, 0.0)
-    emit = kept | full_mesh
-    rows, cols = (index[::-1][emit] for index in np.tril_indices(n, -1))
-    # What is left is diagonal with unit-modulus entries; realize it as
+    # What is left is diagonal with unit-modulus entries d; realize it as
     # a trailing phase-shifter layer, dropping phases that round to 0.
     d = np.diagonal(wt)
-    shifted = np.flatnonzero(np.abs(d - 1.0) > tol)
-    modes = np.stack([np.concatenate([cols, shifted]), np.concatenate([rows, shifted])], 1)
-    coupler = np.arange(len(modes)) < len(cols)
-    theta = np.concatenate([theta[emit], np.zeros(shifted.size)])
-    phi = np.concatenate([phi[emit], -np.angle(d[shifted])])
-    return Circuit(n, columns=(modes, coupler, theta, phi))
+    skipped = np.abs(targets) <= tol
+    emit = np.concatenate([~skipped | full_mesh, np.abs(d - 1.0) > tol])
+    theta = np.concatenate([-np.arctan2(np.abs(targets), norms), np.zeros(n)])
+    phi = np.concatenate([np.angle(targets) - pivot_args + math.pi / 2, -np.angle(d)])
+    phi[:count] = (phi[:count] + math.pi) % (2 * math.pi) - math.pi
+    theta[:count][skipped] = phi[:count][skipped] = 0.0
+    # Coupler p, counted backwards, is the (row, col) pair p of the lower
+    # triangle in row-major order; phase shifter q sits on mode q.
+    rows = np.repeat(np.arange(1, n), np.arange(1, n))
+    pairs = np.stack([np.arange(count) - rows * (rows - 1) // 2, rows], 1)[::-1]
+    modes = np.concatenate([pairs, np.repeat(np.arange(n), 2).reshape(n, 2)])
+    coupler = np.arange(count + n) < count
+    return Circuit(n, columns=(modes[emit], coupler[emit], theta[emit], phi[emit]))
 
 
 @dataclass(frozen=True)
