@@ -196,7 +196,7 @@ def reck_decompose(u, tol: float = linalg.UNITARY_TOL, full_mesh: bool = False) 
     # again.  Per coupler the loop keeps a_k, r_k and arg b_0 for the angles.
     wt = w.T.copy()
     count = n * (n - 1) // 2
-    targets, norms, pivot_args = np.zeros(count, complex), np.ones(count), np.zeros(count)
+    targets, norms, pivot_args = np.zeros(count, complex), np.zeros(count), np.zeros(count)
     end = 0
     for row in range(n - 1, 0, -1):
         start, end = end, end + row
