@@ -13,8 +13,10 @@ from __future__ import annotations
 import argparse
 import cmath
 import contextlib
+import functools
 import itertools
 import math
+import operator
 import sys
 import warnings
 
@@ -93,14 +95,11 @@ _positive = _flag_type(float, lambda v: 0 < v < math.inf, "a finite positive num
 
 
 def _print_amplitudes(out, starred: np.ndarray) -> None:
-    print("port  starred(re im)                    physical(re im)", file=out)
-    for index, z in enumerate(starred):
-        p = np.conj(z)
-        print(
-            f"{index + 1:>4}  {z.real:+.12e} {z.imag:+.12e}  "
-            f"{p.real:+.12e} {p.imag:+.12e}",
-            file=out,
-        )
+    lines = ["port  starred(re im)                    physical(re im)"]
+    for port, z in enumerate(starred.tolist(), 1):
+        p = z.conjugate()
+        lines.append(f"{port:>4}  {z.real:+.12e} {z.imag:+.12e}  {p.real:+.12e} {p.imag:+.12e}")
+    out.write("\n".join(lines) + "\n")
 
 
 def cmd_synth(args) -> int:
@@ -182,17 +181,23 @@ def cmd_search(args) -> int:
         for start in range(0, args.trials, SEARCH_BLOCK):
             block = range(start, min(start + SEARCH_BLOCK, args.trials))
             batch = protocols.run_search(spec, args.seed + start, args.mode, trials=len(block))
-            clicked = batch.clicked.tolist()
-            out.write("".join([
-                f"{t},{identified[k]},{';'.join(itertools.compress(labels, row))}{row_end}"
-                for t, k, row in zip(block, batch.identified.tolist(), clicked)
-            ]))
+            # A row past its trial number depends only on the click pattern, so
+            # each pattern that occurs is formatted once.  Its key is the bool
+            # row viewed as bytes, exact for any number of references.
+            _, first, which = np.unique(
+                batch.clicked.view(f"V{spec.n}")[:, 0], return_index=True, return_inverse=True
+            )
+            patterns = batch.clicked[first].tolist()
+            suffixes = [
+                f",{identified[k]},{';'.join(itertools.compress(labels, row))}{row_end}"
+                for k, row in zip(batch.identified[first].tolist(), patterns)
+            ]
+            numbers, which = list(map(str, block)), which.tolist()
+            out.write("".join(map(operator.add, numbers, map(suffixes.__getitem__, which))))
             if clicks_out is not None:
-                clicks_out.write("".join([
-                    f"{t}{tails[c]}"
-                    for t, row in zip(block, clicked)
-                    for tails, c in zip(click_tails, row)
-                ]))
+                # trial.join(["", tail_1, ..., tail_n]) is the trial's n records.
+                parts = [["", *(tails[c] for tails, c in zip(click_tails, row))] for row in patterns]
+                clicks_out.write("".join(map(str.join, numbers, map(parts.__getitem__, which))))
             successes += np.count_nonzero(batch.identified == spec.match)
     empirical = successes / args.trials
     print(
@@ -232,7 +237,10 @@ def cmd_bellcat(args) -> int:
     return 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``cohcirc`` parser, built once per process: parsing mutates none of
+    it, and every ``parse_args`` call returns a fresh namespace."""
     parser = _Parser(
         prog="cohcirc",
         description="Synthesize linear-optical circuits and propagate coherent amplitudes.",

@@ -7,7 +7,8 @@ modes, and one kernel, :func:`propagate`, applies the layers to a vector
 or a block; ``compile_circuit`` is that kernel applied to the identity.
 
 :func:`reck_decompose` nulls a row in closed form.  Nulling entry ``a_k``
-against the pivot keeps the pivot's phase ``arg b_0`` and raises its
+against the pivot keeps the pivot's phase ``arg b_0`` (0 for an exactly
+zero pivot, whatever the signs of its zeros) and raises its
 modulus to ``r_{k+1} = sqrt(r_k^2 + |a_k|^2)`` from ``r_0 = |b_0|``, so
 ``theta_k = atan2(|a_k|, r_k)`` and ``phi_k = arg a_k - arg b_0 + pi/2``.
 With ``g_k = i |a_k| e^{-i phi_k}`` and the prefix sum
@@ -212,7 +213,7 @@ def reck_decompose(u, tol: float = linalg.UNITARY_TOL, full_mesh: bool = False) 
         b0 = complex(wt[row, row])
         r = np.hypot.accumulate(np.concatenate(([abs(b0)], size)))
         norms[start + k] = r[:-1]
-        pivot_args[start:end] = arg = cmath.phase(b0)
+        pivot_args[start:end] = arg = cmath.phase(b0) if b0 else 0.0
         g = a.conj() * cmath.exp(1j * arg)  # g_k = i |a_k| e^{-i phi_k}
         col = row - 1 - k
         x = wt[col, :row]

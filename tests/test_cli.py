@@ -4,7 +4,7 @@ import pytest
 from cohcirc import SearchSpec, cli, comparison_map, run_search, search_unitary_explicit
 from cohcirc.cli import main
 from cohcirc.formats import read_circuit
-from conftest import format_amplitudes, format_matrix
+from conftest import format_amplitudes, format_matrix, search_csv_texts
 
 
 def test_synth_identity(tmp_path, capsys):
@@ -152,25 +152,40 @@ def test_search_click_records(tmp_path):
     assert len(lines) == 7  # two comparison ports per trial
 
 
-def test_search_blocks_keep_per_trial_records(tmp_path, monkeypatch):
-    refs = "0,0;1.5,0;0,1.5"
-    argv = ["search", "--refs", refs, "--data", "0,1.5", "--trials", "20", "--seed", "3"]
-    written = []
-    for block in (cli.SEARCH_BLOCK, 7):
+EIGHT_REFS = ";".join(f"{k % 4 / 2},{k // 4 / 2}" for k in range(8))
+# Ports 3..64 always click and port 2 never does; only ports 65 and 66, the
+# 64th and 65th comparison ports, vary, so keys of 64 bits would merge rows.
+BOUNDARY_REFS = ";".join(["0,0", *(f"{100 + k},0" for k in range(62)), "0,6.8", "6.8,0"])
+
+
+@pytest.mark.parametrize(
+    "refs, data, trials, blocks",
+    [
+        ("0,0;1.5,0;0,1.5", "0,1.5", 20, (cli.SEARCH_BLOCK, 7)),
+        ("0,0;1.5,0", "0,0", 100_000, (cli.SEARCH_BLOCK,)),  # 13 blocks
+        (EIGHT_REFS, "0,0", 600, (cli.SEARCH_BLOCK, 64)),
+        (BOUNDARY_REFS, "0,0", 400, (cli.SEARCH_BLOCK, 64)),
+        ("0,0;40,0;0,40", "0,0", 50, (cli.SEARCH_BLOCK,)),  # one click pattern
+    ],
+    ids=["3refs", "2refs-13blocks", "8refs", "65refs", "one-pattern"],
+)
+def test_search_blocks_keep_per_trial_records(refs, data, trials, blocks, tmp_path, monkeypatch):
+    argv = ["search", "--refs", refs, "--data", data, "--trials", str(trials), "--seed", "3"]
+    spec = SearchSpec(tuple(map(cli.parse_complex, refs.split(";"))), cli.parse_complex(data))
+    expected = search_csv_texts(spec, 3, trials)
+    for block in blocks:
         monkeypatch.setattr(cli, "SEARCH_BLOCK", block)
         out, clicks = tmp_path / f"s{block}.csv", tmp_path / f"k{block}.csv"
         assert main(argv + ["--out", str(out), "--clicks-out", str(clicks)]) == 0
-        written.append((out.read_text(), clicks.read_text()))
-    assert written[0] == written[1]
-    spec = SearchSpec((0, 1.5, 1.5j), 1.5j)
-    rows = [line.split(",") for line in written[0][0].splitlines()[1:]]
-    click_rows = [line.split(",") for line in written[0][1].splitlines()[1:]]
-    for t in range(20):
+        assert (out.read_bytes(), clicks.read_bytes()) == tuple(map(str.encode, expected))
+    rows = [line.split(",") for line in expected[0].splitlines()[1:]]
+    click_rows = [line.split(",") for line in expected[1].splitlines()[1:]]
+    for t in range(min(trials, 20)):
         outcome = run_search(spec, seed=3 + t)
         clicked = outcome.clicked.tolist()
         labels = [str(port + 2) for port, c in enumerate(clicked) if c]
         assert rows[t][:3] == [str(t), str(outcome.identified or ""), ";".join(labels)]
-        assert click_rows[3 * t : 3 * t + 3] == [
+        assert click_rows[spec.n * t : spec.n * (t + 1)] == [
             [str(t), str(port + 2), str(int(c))] for port, c in enumerate(clicked)
         ]
 
@@ -205,6 +220,46 @@ def test_search_csv_bytes_are_pinned(tmp_path, capsys):
     assert capsys.readouterr() == (PINNED_SUMMARY, "")
     assert main(argv) == 0
     assert capsys.readouterr() == (PINNED_TRIALS, PINNED_SUMMARY)
+
+
+def test_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_reused_parser_keeps_its_defaults():
+    argv = ["search", "--refs", "0,0;1,0", "--data", "0,0"]
+    assert main(argv + ["--c", "2"]) == 2  # above the contraction bound
+    first, second = (cli.build_parser().parse_args(argv) for _ in range(2))
+    assert first is not second
+    assert (first.c, first.trials, first.seed, first.mode) == (None, 1, 0, "dilation")
+
+
+def test_reused_parser_after_a_bad_flag(tmp_path, capsys):
+    assert main(["search", "--refs", "0,0;1,0", "--data", "0,0", "--bogus"]) == 1
+    capsys.readouterr()
+    test_search_csv_bytes_are_pinned(tmp_path, capsys)
+
+
+def test_each_command_prints_the_same_after_the_others(tmp_path, capsys):
+    (tmp_path / "m.txt").write_text(format_matrix(comparison_map(2)))
+    (tmp_path / "c.txt").write_text(f"width=2\nBS 0 1 {np.pi / 4:.17g} 0\n")
+    (tmp_path / "a.txt").write_text(format_amplitudes(np.array([1.0, 0.5j])))
+    commands = [
+        ["synth", str(tmp_path / "m.txt"), str(tmp_path / "out.txt")],
+        ["run", str(tmp_path / "c.txt"), str(tmp_path / "a.txt")],
+        ["search", "--refs", "0,0;1.5,0;0,1.5", "--data", "0,0", "--trials", "6"],
+        ["qkd", "--n", "4", "--alpha", "1,0"],
+        ["bellcat", "--v1", "1,0,0,0", "--v2", "0,0,1,0", "--alpha", "0.6,0"],
+    ]
+    alone = []
+    for argv in commands:
+        cli.build_parser.cache_clear()
+        alone.append((main(argv), capsys.readouterr()))
+    for k, argv in enumerate(commands):
+        for other in commands[:k] + commands[k + 1 :]:
+            main(other)
+        capsys.readouterr()
+        assert (main(argv), capsys.readouterr()) == alone[k]
 
 
 def test_search_rejects_inconsistent_n():

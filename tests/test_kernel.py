@@ -159,7 +159,7 @@ def reck_rows_in_place(u, tol=1e-10, full_mesh=False):
                 continue
             b = complex(wt[row, row])
             theta = np.arctan2(abs(a), abs(b))
-            phi = np.angle(a) - np.angle(b) + np.pi / 2
+            phi = np.angle(a) - (np.angle(b) if b else 0) + np.pi / 2
             phi = (phi + np.pi) % (2 * np.pi) - np.pi
             c, s, e = np.cos(theta), np.sin(theta), np.exp(1j * phi)
             x = wt[col, : row + 1]
@@ -231,9 +231,10 @@ def test_reck_matches_in_place_loop_on_adversarial_families(family, full_mesh):
 
 @pytest.mark.parametrize("n", [6, 12])
 def test_reck_round_trip_with_exactly_zero_pivots(n):
-    # An exactly zero pivot has no phase of its own: the mesh takes the
-    # phase of its signed zeros, which depend on the order of arithmetic,
-    # so only the round trip is pinned here, not the in-place loop's angles.
+    # An exactly zero pivot takes phase 0, but which pivots come out exactly
+    # zero depends on the order of arithmetic (the n = 6 search dilation
+    # ends in 10 phase shifters here and 12 in the in-place loop), so only
+    # the round trip is pinned here, not the in-place loop's angles.
     rng = np.random.default_rng(44 + n)
     phased = np.eye(n)[rng.permutation(n)] * np.exp(2j * np.pi * rng.random(n))
     search, _ = dilate(comparison_map(n))

@@ -104,6 +104,20 @@ def test_reck_handles_permutations():
         assert max_abs(compile_circuit(reck_decompose(p)) - p) <= 1e-12
 
 
+@pytest.mark.parametrize("full_mesh", [False, True])
+def test_reck_zero_pivot_phase_ignores_the_signs_of_zeros(full_mesh):
+    # An exactly zero pivot has no phase of its own, so how its zeros are
+    # signed must not change the circuit.
+    swaps = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+    phased = swaps * np.exp(1j * np.array([0.3, -1.2, 2.0, 0.7]))
+    circuits = [
+        reck_decompose(np.where(phased == 0, zero, phased), full_mesh=full_mesh)
+        for zero in (complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0))
+    ]
+    assert circuits[0] == circuits[1] == circuits[2]
+    assert max_abs(compile_circuit(circuits[0]) - phased) <= 1e-15
+
+
 def test_reck_tolerates_noise_within_tolerance():
     rng = np.random.default_rng(30)
     u = random_unitary(7, rng)
