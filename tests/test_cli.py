@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from cohcirc import SearchSpec, cli, comparison_map, run_search, search_unitary_explicit
+from cohcirc import (
+    SearchSpec,
+    cli,
+    comparison_map,
+    random_unitary,
+    run_search,
+    search_unitary_explicit,
+)
 from cohcirc.cli import main
 from cohcirc.formats import read_circuit
 from conftest import format_amplitudes, format_matrix, search_csv_texts
@@ -46,6 +53,49 @@ def test_synth_rejects_expanding_matrix(tmp_path, capsys):
     assert main(["synth", str(matrix_file), str(tmp_path / "c.txt")]) == 2
 
 
+NOT_A_CONTRACTION = "error: input is neither unitary nor a contraction (largest singular value "
+
+
+@pytest.mark.parametrize(
+    "matrix, code, out, err",
+    [
+        (1.25 * random_unitary(4, np.random.default_rng(5)), 2, [], [NOT_A_CONTRACTION + "1.25)"]),
+        ([[1.5, 0, 0], [0, 0.5, 0]], 2, [], [NOT_A_CONTRACTION + "1.5)"]),
+        (
+            [[0.6, 0.6]],
+            2,
+            [],
+            [
+                "error: identity padding raises the largest singular value to 1.21495550208; "
+                "pad the matrix with zero rows/columns yourself if the extra ports are not "
+                "pass-through"
+            ],
+        ),
+        (
+            [[0.6, 0]],
+            0,
+            [
+                "dilated 1x2 contraction into a 4-mode unitary; signal outputs on ports 1..1",
+                "route=dilation modes=4 beamsplitters=1 phase_shifters=0 residual=",
+            ],
+            [],
+        ),
+        ([[1e308]], 2, [], [NOT_A_CONTRACTION + "1e+308)"]),
+    ],
+    ids=["scaled-unitary", "wide-expansion", "padding", "wide-contraction", "huge-scalar"],
+)
+@pytest.mark.filterwarnings("error")
+def test_synth_route_and_rejection_lines_are_pinned(matrix, code, out, err, tmp_path, capsys):
+    matrix_file = tmp_path / "m.txt"
+    matrix_file.write_text(format_matrix(np.array(matrix, dtype=complex)))
+    assert main(["synth", str(matrix_file), str(tmp_path / "c.txt")]) == code
+    captured = capsys.readouterr()
+    printed = captured.out.splitlines()
+    if printed:  # the residual's last digits depend on the LAPACK build
+        printed[-1] = printed[-1].partition("residual=")[0] + "residual="
+    assert (printed, captured.err.splitlines()) == (out, err)
+
+
 def test_synth_rejects_garbage_file(tmp_path):
     bad = tmp_path / "m.txt"
     bad.write_text("not a matrix\n")
@@ -82,8 +132,6 @@ def test_run_width_mismatch(tmp_path):
 
 
 def test_synth_then_run_matches_direct_application(tmp_path, capsys):
-    from cohcirc import random_unitary
-
     rng = np.random.default_rng(60)
     u = random_unitary(5, rng)
     vec = rng.standard_normal(5) + 1j * rng.standard_normal(5)
