@@ -104,26 +104,17 @@ def _print_amplitudes(out, starred: np.ndarray) -> None:
 
 def cmd_synth(args) -> int:
     matrix = read_matrix(args.matrix)
-    tol = args.tol
-    square = matrix.shape[0] == matrix.shape[1]
-    if square and linalg.is_unitary(matrix, tol):
-        target = matrix
-        route = "unitary"
+    if matrix.shape[0] == matrix.shape[1] and linalg.is_unitary(matrix, args.tol):
+        target, route = matrix, "unitary"
     else:
-        sigma = linalg.spectral_norm(matrix)
-        if sigma > 1 + tol:
-            raise ContractionError(
-                f"input is neither unitary nor a contraction "
-                f"(largest singular value {sigma:.12g})"
-            )
-        target, ports = dilate(matrix, tol)
+        target, ports = dilate(matrix, args.tol)
         route = "dilation"
         print(
             f"dilated {matrix.shape[0]}x{matrix.shape[1]} contraction into a "
             f"{ports.width}-mode unitary; signal outputs on ports "
             f"{ports.output_ports[0] + 1}..{ports.output_ports[-1] + 1}"
         )
-    circuit = reck_decompose(target, tol)
+    circuit = reck_decompose(target, args.tol)
     residual = linalg.max_abs(compile_circuit(circuit) - target)
     write_circuit(args.out, circuit)
     print(
@@ -250,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="decompose a matrix file into a circuit file")
     p.add_argument("matrix", help="input matrix file")
     p.add_argument("out", help="output circuit file")
-    p.add_argument("--tol", type=_positive, default=1e-10)
+    p.add_argument("--tol", type=_positive, default=linalg.UNITARY_TOL)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("run", help="apply a circuit file to an amplitudes file")

@@ -267,19 +267,14 @@ def dilate(k, tol: float = linalg.UNITARY_TOL) -> tuple[np.ndarray, DilationPort
         [[K, -(I - K K^dag)^{1/2}], [(I - K^dag K)^{1/2}, K^dag]]
 
     with s = max(M, N) after a rectangular K is padded square (K in the
-    upper-left, ones on the remaining diagonal).  Raises
-    :class:`ContractionError` when the largest singular value exceeds
-    1 + tol.  Identity padding keeps the contraction property only when
-    the padded-in rows/columns do not overlap K's support, so the
-    largest singular value of the padded matrix is checked again.
+    upper-left, ones on the remaining diagonal).  One SVD of the padded
+    matrix gives both the complement roots and the contraction check:
+    :class:`ContractionError` is raised when its largest singular value
+    exceeds 1 + tol, naming K's own, or the padded one when K is a
+    contraction and only identity padding overlapping its support is not.
     """
     kk = linalg.as_matrix(k)
     m_out, n_in = kk.shape
-    sigma = linalg.spectral_norm(kk)
-    if sigma > 1 + tol:
-        raise ContractionError(
-            f"largest singular value {sigma:.12g} exceeds 1; not a contraction"
-        )
     size = max(m_out, n_in)
     padded = np.zeros((size, size), dtype=complex)
     padded[:m_out, :n_in] = kk
@@ -291,11 +286,15 @@ def dilate(k, tol: float = linalg.UNITARY_TOL) -> tuple[np.ndarray, DilationPort
     # singular value sits at 1, which would leave the block matrix
     # unitary only to ~1e-8.
     v, s, wh = np.linalg.svd(padded)
-    if size > min(m_out, n_in) and s[0] > 1 + tol:
+    if not s[0] <= 1 + tol:  # a nan fails too
+        sigma = s[0] if m_out == n_in else linalg.spectral_norm(kk)
+        if sigma <= 1 + tol:
+            raise ContractionError(
+                f"identity padding raises the largest singular value to {s[0]:.12g}; pad the "
+                "matrix with zero rows/columns yourself if the extra ports are not pass-through"
+            )
         raise ContractionError(
-            f"identity padding raises the largest singular value to "
-            f"{s[0]:.12g}; pad the matrix with zero rows/columns "
-            "yourself if the extra ports are not pass-through"
+            f"input is neither unitary nor a contraction (largest singular value {sigma:.12g})"
         )
     r = np.sqrt(np.clip(1.0 - s**2, 0.0, None))
     out_complement = (v * r) @ v.conj().T

@@ -11,7 +11,7 @@ from cohcirc import (
 )
 from cohcirc.cli import main
 from cohcirc.formats import read_circuit
-from conftest import format_amplitudes, format_matrix, search_csv_texts
+from conftest import format_amplitudes, format_matrix, random_contraction, search_csv_texts
 
 
 def test_synth_identity(tmp_path, capsys):
@@ -94,6 +94,19 @@ def test_synth_route_and_rejection_lines_are_pinned(matrix, code, out, err, tmp_
     if printed:  # the residual's last digits depend on the LAPACK build
         printed[-1] = printed[-1].partition("residual=")[0] + "residual="
     assert (printed, captured.err.splitlines()) == (out, err)
+
+
+def test_dilation_synth_takes_one_svd(tmp_path, capsys, monkeypatch):
+    # dilate's one SVD of the padded matrix is both the contraction check
+    # and the source of the complement roots.
+    matrix_file = tmp_path / "m.txt"
+    matrix_file.write_text(format_matrix(random_contraction(np.random.default_rng(6), 6, 0.9)))
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(a) or svd(*a, **kw))
+    assert main(["synth", str(matrix_file), str(tmp_path / "c.txt")]) == 0
+    assert "route=dilation modes=12 " in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_synth_rejects_garbage_file(tmp_path):
