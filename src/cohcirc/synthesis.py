@@ -45,7 +45,8 @@ class Circuit:
     shifter repeats its mode), the beamsplitter mask ``coupler``,
     ``theta`` (0 for a phase shifter) and ``phi``.  Give either element
     objects or the columns; rows are checked as the element constructors
-    check them (the error for a bad row carries its index as ``row``), and
+    check them and must have this one form, so equal columns are equal
+    elements (the error for a bad row carries its index as ``row``).
     ``elements`` is derived from the columns on first use.
     """
 
@@ -64,11 +65,16 @@ class Circuit:
         modes = modes.astype(np.intp).reshape(-1, 2)
         dtypes = (bool, float, float)
         coupler, theta, phi = (np.array(c, dtype) for c, dtype in zip(columns[1:], dtypes))
-        bad = (modes < 0).any(axis=1) | (coupler & (modes[:, 0] == modes[:, 1]))
-        bad |= ~(np.isfinite(theta) & np.isfinite(phi))
+        bad = (modes < 0).any(axis=1) | (coupler == (modes[:, 0] == modes[:, 1]))
+        bad |= ~(np.isfinite(theta) & np.isfinite(phi)) | (~coupler & (theta != 0))
         if bad.any():
             k = int(bad.argmax())
-            error = element_error(tuple(modes[k, : 1 + coupler[k]].tolist()), (theta[k], phi[k]))
+            angles = (theta[k], phi[k]) if coupler[k] else (phi[k],)
+            error = element_error(tuple(modes[k, : 1 + coupler[k]].tolist()), angles)
+            error = error or DimensionError(
+                f"a phase shifter row must repeat its mode and have theta 0, "
+                f"got modes {tuple(modes[k].tolist())} and theta {theta[k]:g}"
+            )
             error.row = k  # for messages that name where the element came from
             raise error
         if width < 1:

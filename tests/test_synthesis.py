@@ -216,6 +216,9 @@ def test_dilated_random_contractions():
         assert np.array_equal(u[:size, :size], k)
 
 
+NON_CANONICAL = "a phase shifter row must repeat its mode and have theta 0, got modes "
+
+
 @pytest.mark.parametrize(
     "build, error, message",
     [
@@ -240,12 +243,36 @@ def test_dilated_random_contractions():
             NonFiniteError,
             "phase shifter angle must be finite",
         ),
+        # Each of these once passed and read as PhaseShifter(0, 0.5), yet
+        # compared unequal to it.
+        (
+            lambda: Circuit(2, columns=([[0, 1]], [False], [0.0], [0.5])),
+            DimensionError,
+            NON_CANONICAL + "(0, 1) and theta 0",
+        ),
+        (
+            lambda: Circuit(2, columns=([[0, 0]], [False], [0.7], [0.5])),
+            DimensionError,
+            NON_CANONICAL + "(0, 0) and theta 0.7",
+        ),
+        (
+            lambda: Circuit(2, columns=([[0, 5]], [False], [0.0], [0.5])),
+            DimensionError,
+            NON_CANONICAL + "(0, 5) and theta 0",
+        ),
     ],
 )
 def test_circuit_error_messages_are_pinned(build, error, message):
     with pytest.raises(error) as caught:
         build()
     assert str(caught.value) == message
+
+
+def test_non_canonical_phase_shifter_row_is_named():
+    columns = ([[0, 0], [1, 1], [1, 0]], [False] * 3, [0.0] * 3, [0.1, 0.2, 0.3])
+    with pytest.raises(DimensionError) as caught:
+        Circuit(2, columns=columns)
+    assert caught.value.row == 2
 
 
 def test_circuit_columns_must_be_integer_modes_in_range():
