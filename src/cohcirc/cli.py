@@ -151,7 +151,7 @@ def cmd_search(args) -> int:
     if spec.match is None:
         raise ParseError("--data must match exactly one of --refs")
     for w in caught:  # coincident references warn only on an accepted search
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+        print(f"warning: {w.message}", file=sys.stderr)
     protocols.search_operator(spec, args.mode)  # domain errors before any output
     analytic = protocols.analytic_success_probability(spec)
     row_end = f",{analytic:.12g}\r\n"

@@ -455,9 +455,13 @@ def test_bad_input_exits_with_one_error_line(argv, code, tmp_path, monkeypatch, 
     assert not any((tmp_path / path).exists() for path in outputs)
 
 
+@pytest.mark.filterwarnings("error")
 def test_accepted_search_with_coincident_references_still_warns(capsys):
-    with pytest.warns(UserWarning, match="references 1 and 2 coincide"):
-        assert main(["search", "--refs", "0,0;0,0;1,0", "--data", "1,0"]) == 0
+    assert main(["search", "--refs", "0,0;0,0;1,0", "--data", "1,0"]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: references 1 and 2 coincide and can never be told apart",
+        "trials=1 empirical_success=0.000000 analytic_success=0.048929",
+    ]
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-10"])

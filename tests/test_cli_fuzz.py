@@ -2,8 +2,9 @@
 
 Flags are float strings drawn from the whole double range plus the
 values that used to escape as tracebacks or print ``nan``/``inf``.
-A numpy ``RuntimeWarning`` fails a case too; the coincident-reference
-``UserWarning`` is correct output for some searches.
+A Python warning fails a case too: a numpy ``RuntimeWarning`` is a
+leak, and the CLI reports coincident references as a ``warning:`` line
+on stderr, not as a ``UserWarning``.
 """
 
 import re
@@ -14,7 +15,10 @@ from hypothesis import strategies as st
 
 from cohcirc.cli import main
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+pytestmark = [
+    pytest.mark.filterwarnings("error::RuntimeWarning"),
+    pytest.mark.filterwarnings("error::UserWarning"),
+]
 
 SPECIAL = ["nan", "-nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "-1e-320", "0", "-0"]
 number = st.one_of(
