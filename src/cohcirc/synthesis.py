@@ -274,10 +274,10 @@ def dilate(k, tol: float = linalg.UNITARY_TOL) -> tuple[np.ndarray, DilationPort
 
     with s = max(M, N) after a rectangular K is padded square (K in the
     upper-left, ones on the remaining diagonal).  One SVD of the padded
-    matrix gives both the complement roots and the contraction check:
-    :class:`ContractionError` is raised when its largest singular value
-    exceeds 1 + tol, naming K's own, or the padded one when K is a
-    contraction and only identity padding overlapping its support is not.
+    matrix gives both the complement roots and the contraction check.
+    Raises :class:`ContractionError` when K's largest singular value
+    exceeds 1 + tol, or when K is a contraction but identity padding that
+    overlaps its support pushes the padded matrix's past that bound.
     """
     kk = linalg.as_matrix(k)
     m_out, n_in = kk.shape
