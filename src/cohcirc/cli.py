@@ -5,7 +5,7 @@ Subcommands: synth, run, search, qkd, bellcat.  Complex flags are
 --flag=value for values starting with a minus sign).  Circuit files
 keep the 0-based internal mode indices; printed port labels and CSV
 port columns are 1-based.  Exit codes: 0 success, 1 parse/IO error,
-2 domain error.
+2 domain error or out of memory.
 """
 
 from __future__ import annotations
@@ -48,30 +48,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_complex(text: str) -> complex:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ParseError(f"expected 're,im', got {text!r}")
-    try:
-        value = complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        raise ParseError(f"cannot parse complex value {text!r}") from None
-    if not cmath.isfinite(value):
-        raise ParseError(f"complex value must be finite, got {text!r}")
-    return value
-
-
-def parse_complex_list(text: str) -> tuple[complex, ...]:
-    items = [tok for tok in text.split(";") if tok.strip()]
-    if not items:
-        raise ParseError("expected a semicolon-separated list of 're,im' pairs")
-    return tuple(parse_complex(tok) for tok in items)
-
-
-def parse_complex_pair(text: str) -> tuple[complex, complex]:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ParseError(f"expected 're,im,re,im', got {text!r}")
-    return parse_complex(",".join(parts[:2])), parse_complex(",".join(parts[2:]))
+    """The complex number ``re,im``; ValueError on any other text."""
+    re_part, im_part = text.split(",")
+    return complex(float(re_part), float(im_part))
 
 
 def _flag_type(convert, accept, expected: str):
@@ -89,9 +68,27 @@ def _flag_type(convert, accept, expected: str):
     return parse
 
 
+def _finite(values) -> bool:
+    return all(map(cmath.isfinite, values))
+
+
+def _complex_list(text: str) -> tuple[complex, ...]:
+    return tuple(parse_complex(item) for item in text.split(";") if item.strip())
+
+
+def _complex_pair(text: str) -> tuple[complex, complex]:
+    re1, im1, re2, im2 = map(float, text.split(","))
+    return complex(re1, im1), complex(re2, im2)
+
+
 _count = _flag_type(int, lambda v: v >= 0, "a non-negative integer")
 _positive_count = _flag_type(int, lambda v: v > 0, "a positive integer")
 _positive = _flag_type(float, lambda v: 0 < v < math.inf, "a finite positive number")
+_complex = _flag_type(parse_complex, cmath.isfinite, "a finite complex number 're,im'")
+_complexes = _flag_type(
+    _complex_list, lambda v: v and _finite(v), "';'-separated finite 're,im' pairs"
+)
+_pair = _flag_type(_complex_pair, _finite, "four finite numbers 're,im,re,im'")
 
 
 def _print_amplitudes(out, starred: np.ndarray) -> None:
@@ -138,16 +135,15 @@ def cmd_run(args) -> int:
 
 
 def cmd_search(args) -> int:
-    references = parse_complex_list(args.refs)
-    if args.n is not None and args.n != len(references):
-        raise ParseError(f"--n {args.n} does not match {len(references)} references")
+    if args.n is not None and args.n != len(args.refs):
+        raise ParseError(f"--n {args.n} does not match {len(args.refs)} references")
     if args.seed + args.trials > 2**64:
         raise ParseError(
             f"--seed {args.seed} with --trials {args.trials} needs seeds beyond 2**64 - 1"
         )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        spec = protocols.SearchSpec(references, parse_complex(args.data), c=args.c)
+        spec = protocols.SearchSpec(args.refs, args.data, c=args.c)
     if spec.match is None:
         raise ParseError("--data must match exactly one of --refs")
     for w in caught:  # coincident references warn only on an accepted search
@@ -200,15 +196,13 @@ def cmd_search(args) -> int:
 
 
 def cmd_qkd(args) -> int:
-    starred = protocols.generate_phase_states(args.n, parse_complex(args.alpha))
+    starred = protocols.generate_phase_states(args.n, args.alpha)
     _print_amplitudes(sys.stdout, starred)
     return 0
 
 
 def cmd_bellcat(args) -> int:
-    query = protocols.BellcatQuery(
-        parse_complex_pair(args.v1), parse_complex_pair(args.v2), parse_complex(args.alpha)
-    )
+    query = protocols.BellcatQuery(args.v1, args.v2, args.alpha)
     result = protocols.bellcat_feasibility(query, bell_state=args.target)
     if result.feasible:
         print("feasible")
@@ -250,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("search", help="run seeded database-search trials")
-    p.add_argument("--refs", required=True, help="references as 're,im;re,im;...'")
-    p.add_argument("--data", required=True, help="unknown datum as 're,im'")
+    p.add_argument("--refs", type=_complexes, required=True, help="references 're,im;re,im;...'")
+    p.add_argument("--data", type=_complex, required=True, help="unknown datum as 're,im'")
     p.add_argument("--n", type=int, default=None, help="expected reference count")
     p.add_argument("--c", type=_positive, default=None, help="comparison scale")
     p.add_argument("--trials", type=_positive_count, default=1)
@@ -265,13 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qkd", help="generate the n phase-encoded key states")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", required=True, help="base amplitude as 're,im'")
+    p.add_argument("--alpha", type=_complex, required=True, help="base amplitude as 're,im'")
     p.set_defaults(func=cmd_qkd)
 
     p = sub.add_parser("bellcat", help="check Bell-cat distillation feasibility")
-    p.add_argument("--v1", required=True, help="first component pair 're,im,re,im'")
-    p.add_argument("--v2", required=True, help="second component pair 're,im,re,im'")
-    p.add_argument("--alpha", required=True, help="target cat amplitude 're,im'")
+    p.add_argument("--v1", type=_pair, required=True, help="first component pair 're,im,re,im'")
+    p.add_argument("--v2", type=_pair, required=True, help="second component pair 're,im,re,im'")
+    p.add_argument("--alpha", type=_complex, required=True, help="target cat amplitude 're,im'")
     p.add_argument("--target", choices=sorted(protocols.BELL_TARGETS), default="B00")
     p.set_defaults(func=cmd_bellcat)
     return parser
@@ -287,6 +281,9 @@ def main(argv=None) -> int:
         return 1
     except DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a valid request too large to serve
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -115,19 +115,24 @@ def format_circuit(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_text(path, kind: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{kind}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def read_matrix(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix(fh.read())
+    return parse_matrix(_read_text(path, "matrix"))
 
 
 def read_amplitudes(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_amplitudes(fh.read())
+    return parse_amplitudes(_read_text(path, "amplitudes"))
 
 
 def read_circuit(path) -> Circuit:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_circuit(fh.read())
+    return parse_circuit(_read_text(path, "circuit"))
 
 
 def write_circuit(path, circuit: Circuit) -> None:

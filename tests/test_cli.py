@@ -1,3 +1,9 @@
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -453,6 +459,86 @@ def test_bad_input_exits_with_one_error_line(argv, code, tmp_path, monkeypatch, 
     outputs = [argv[i + 1] for i, arg in enumerate(argv) if arg == "--out"]
     outputs += [arg.removeprefix("--out=") for arg in argv if arg.startswith("--out=")]
     assert not any((tmp_path / path).exists() for path in outputs)
+
+
+COMPLEX = "a finite complex number 're,im'"
+PAIR = "four finite numbers 're,im,re,im'"
+PAIRS = "';'-separated finite 're,im' pairs"
+
+
+def flags(command, **values):
+    defaults = {
+        "search": {"refs": "0,0;1,0", "data": "0,0"},
+        "qkd": {"n": "4", "alpha": "1,0"},
+        "bellcat": {"v1": "1,0,0,0", "v2": "0,0,1,0", "alpha": "0.1,0"},
+    }[command]
+    return [command] + [f"--{flag}={text}" for flag, text in {**defaults, **values}.items()]
+
+
+@pytest.mark.parametrize(
+    "command, flag, expected, text",
+    [
+        ("search", "data", COMPLEX, "1"),
+        ("search", "data", COMPLEX, "x,0"),
+        ("bellcat", "v1", PAIR, "1,0,0"),
+        ("bellcat", "v1", PAIR, "1,0,0,0,5"),
+        ("qkd", "alpha", COMPLEX, "nan,0"),
+        ("bellcat", "alpha", COMPLEX, "0,inf"),
+        ("bellcat", "v1", PAIR, "1,nan,0,0"),
+        ("bellcat", "v2", PAIR, "0,0,-inf,0"),
+        ("search", "refs", PAIRS, "0,0;inf,1"),
+        ("search", "refs", PAIRS, ";"),
+    ],
+    ids=[
+        "data-one-number", "data-not-a-number", "v1-three-numbers", "v1-five-numbers",
+        "qkd-alpha-nan", "bellcat-alpha-inf", "v1-nan", "v2-inf", "refs-inf", "refs-empty",
+    ],
+)
+def test_bad_complex_flag_is_named(command, flag, expected, text, capsys):
+    assert main(flags(command, **{flag: text})) == 1
+    err = f"error: argument --{flag}: expected {expected}, got {text!r}\n"
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (["synth", "bad.txt", "out.txt"], "matrix"),
+        (["run", "bad.txt", "amplitudes.txt"], "circuit"),
+        (["run", "circuit.txt", "bad.txt"], "amplitudes"),
+    ],
+    ids=["matrix", "circuit", "amplitudes"],
+)
+def test_file_that_is_not_utf8_is_one_error_line(argv, kind, tmp_path, monkeypatch, capsys):
+    (tmp_path / "bad.txt").write_bytes(b"1 1\n\xff 0\n")
+    (tmp_path / "circuit.txt").write_text("width=1\n")
+    (tmp_path / "amplitudes.txt").write_text("n=1\n1 0\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = f"error: {kind}: not UTF-8 text (invalid start byte at byte 4)\n"
+    assert capsys.readouterr() == ("", err)
+
+
+def test_out_of_memory_is_one_error_line(monkeypatch, capsys):
+    # Run only under a 2 GiB address-space cap: the 20000-mode DFT needs about 3 GiB.
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    argv = [sys.executable, "-m", "cohcirc.cli", "qkd", "--n", "20000", "--alpha", "1,0"]
+    done = subprocess.run(argv, env=env, preexec_fn=cap, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("error: Unable to allocate "), line
+
+    def exhausted(n, alpha):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.protocols, "generate_phase_states", exhausted)
+    assert main(["qkd", "--n", "4", "--alpha", "1,0"]) == 2
+    assert capsys.readouterr() == ("", "error: out of memory\n")
 
 
 @pytest.mark.filterwarnings("error")
