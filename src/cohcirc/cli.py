@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="run seeded database-search trials")
     p.add_argument("--refs", type=_complexes, required=True, help="references 're,im;re,im;...'")
     p.add_argument("--data", type=_complex, required=True, help="unknown datum as 're,im'")
-    p.add_argument("--n", type=int, default=None, help="expected reference count")
+    p.add_argument("--n", type=_positive_count, default=None, help="expected reference count")
     p.add_argument("--c", type=_positive, default=None, help="comparison scale")
     p.add_argument("--trials", type=_positive_count, default=1)
     p.add_argument("--seed", type=_count, default=0)
@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("qkd", help="generate the n phase-encoded key states")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_count, required=True)
     p.add_argument("--alpha", type=_complex, required=True, help="base amplitude as 're,im'")
     p.set_defaults(func=cmd_qkd)
 

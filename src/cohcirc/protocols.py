@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -166,15 +167,15 @@ class SearchSpec:
         shift = -math.frexp(max(max(abs(z.real), abs(z.imag)) for z in values))[1]
         unit = [complex(math.ldexp(z.real, shift), math.ldexp(z.imag, shift)) for z in values]
         tol = 1e-12 * max(map(abs, unit))
-        matches = [j for j in range(1, len(unit)) if abs(unit[j] - unit[0]) <= tol]
+        pairs = itertools.combinations(range(len(unit)), 2)
+        close = [(i, j) for i, j in pairs if abs(unit[j] - unit[i]) <= tol]
+        matches = [j for i, j in close if i == 0]
         object.__setattr__(self, "match", matches[0] if len(matches) == 1 else None)
-        for i in range(1, len(unit)):
-            for j in range(i + 1, len(unit)):
-                if abs(unit[j] - unit[i]) <= tol:
-                    warnings.warn(
-                        f"references {i} and {j} coincide and can never be told apart",
-                        stacklevel=3,
-                    )
+        for i, j in close[len(matches) :]:  # the pairs with i = 0 come first
+            warnings.warn(
+                f"references {i} and {j} coincide and can never be told apart",
+                stacklevel=3,
+            )
 
     @property
     def n(self) -> int:
@@ -188,8 +189,9 @@ class SearchOutcome:
     ``identified`` is the 1-based reference index (which equals the
     0-based comparison-port index carrying data - reference), or None
     when the click pattern is inconclusive.  ``clicked[j]`` tells whether
-    comparison port j + 1 clicked.  ``retained`` holds the untouched
-    group-B starred amplitudes; the measurement consumes group-A ports 0..N.
+    comparison port j + 1 clicked.  ``retained`` is a read-only view of
+    the untouched group-B starred amplitudes; the measurement consumes
+    group-A ports 0..N.
     """
 
     identified: int | None
@@ -219,10 +221,18 @@ def search_operator(spec: SearchSpec, mode: str = DILATION) -> np.ndarray:
     return _search_operator(spec.n, spec.c, mode)
 
 
-def _search_input(spec: SearchSpec) -> np.ndarray:
-    starred = np.zeros(2 * (spec.n + 1), dtype=complex)
-    starred[: spec.n + 1] = np.conj((spec.data, *spec.references))
-    return starred
+def _search_outputs(spec: SearchSpec, mode: str) -> np.ndarray:
+    """Read-only starred outputs of (data, references, dark ports) under the
+    identification unitary; computed once per spec instance and mode."""
+    # Kept on the instance outside the dataclass fields, as
+    # functools.cached_property does, so equality and hashing ignore it.
+    passes = spec.__dict__.setdefault("_outputs", {})
+    if mode not in passes:
+        starred = pad_vacuum(np.conj((spec.data, *spec.references)), 2 * (spec.n + 1))
+        out = apply_matrix(search_operator(spec, mode), starred)
+        out.flags.writeable = False  # before any caller can see it
+        passes[mode] = out
+    return passes[mode]
 
 
 class SearchBatch(NamedTuple):
@@ -244,58 +254,46 @@ def run_search(
 ) -> SearchOutcome | SearchBatch:
     """Seeded search trials.
 
-    Propagates (data, references, dark ports) through the identification
-    unitary and samples threshold detectors on the comparison ports
-    1..N, where port j carries c*(data* - ref_j*).  A click at port j
-    rules reference j out; the datum is identified as reference k
-    exactly when port k is the only comparison port that stayed silent.
-    Any other pattern is inconclusive.  The group-B ports N+1..2N+1 are
-    never measured and are returned for the restoration pass.
+    Every trial reads the one pass of (data, references, dark ports)
+    through the identification unitary kept per spec instance and mode,
+    and samples threshold detectors on the comparison ports 1..N, where
+    port j carries c*(data* - ref_j*).  A click at port j rules reference
+    j out; the datum is identified as reference k exactly when port k is
+    the only comparison port that stayed silent.  Any other pattern is
+    inconclusive.  The group-B ports N+1..2N+1 are never measured and
+    are returned, as a read-only view, for the restoration pass.
 
     With ``trials=None`` runs one trial seeded with ``seed`` and returns
     a ``SearchOutcome``.  With an integer runs the trials seeded with
     seed, ..., seed + trials - 1 (all in [0, 2**64)) and returns a
     ``SearchBatch`` whose row t equals the single trial ``seed + t``.
     """
-    u = search_operator(spec, mode)
-    ports = range(1, spec.n + 1)
+    out = _search_outputs(spec, mode)
+    clicked = sample_clicks(out, range(1, spec.n + 1), seed, trials)
+    silent = ~clicked
+    identified = np.where(silent.sum(axis=-1) == 1, silent.argmax(axis=-1) + 1, 0)
     if trials is None:
-        # The operator is cached read-only and the input is built here, so
-        # only the output needs the finite check sample_clicks makes.
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = u @ _search_input(spec)
-        clicked = sample_clicks(out, ports, seed)
-        silent = [port for port, c in zip(ports, clicked.tolist()) if not c]
-        return SearchOutcome(
-            identified=silent[0] if len(silent) == 1 else None,
-            clicked=clicked,
-            retained=out[spec.n + 1 :],
-            mode=mode,
-        )
-    out = apply_matrix(u, _search_input(spec))
-    silent = ~sample_clicks(out, ports, seed, trials=trials)
-    identified = np.where(silent.sum(axis=1) == 1, silent.argmax(axis=1) + 1, 0)
-    return SearchBatch(identified, ~silent, out[spec.n + 1 :], mode)
+        return SearchOutcome(int(identified) or None, clicked, out[spec.n + 1 :], mode)
+    return SearchBatch(identified, clicked, out[spec.n + 1 :], mode)
 
 
 def restore(outcome: SearchOutcome, spec: SearchSpec) -> np.ndarray:
     """Undo the search pass, recovering the data and reference states.
 
-    The measured group-A outputs are replenished from a fresh forward
-    pass of the same circuit (extra copies of the input states), joined
-    with the retained group-B amplitudes, and sent through the inverse
-    map.  Returns the starred input vector (data*, ref_1*, ..., 0, ...)
-    regardless of what the detectors clicked.
+    The measured group-A outputs are replenished from the same forward
+    pass ``run_search`` read (extra copies of the input states through
+    the same circuit), joined with the retained group-B amplitudes, and
+    sent through the inverse map.  Returns the starred input vector
+    (data*, ref_1*, ..., 0, ...) regardless of what the detectors clicked.
     """
     if outcome.retained.shape[0] != spec.n + 1:
         raise DimensionError(
             f"retained group has width {outcome.retained.shape[0]}, "
             f"expected {spec.n + 1}"
         )
-    u = search_operator(spec, outcome.mode)
-    fresh = apply_matrix(u, _search_input(spec))
-    reassembled = np.concatenate([fresh[: spec.n + 1], outcome.retained])
-    return apply_matrix(u.conj().T, reassembled)
+    fresh = _search_outputs(spec, outcome.mode)[: spec.n + 1]
+    reassembled = np.concatenate([fresh, outcome.retained])
+    return apply_matrix(search_operator(spec, outcome.mode).conj().T, reassembled)
 
 
 def success_probability(alpha1: complex, alpha2: complex) -> float:

@@ -445,6 +445,9 @@ BAD_INPUT_FILES = {
         (["search", "--refs", "0,0;3,0", "--data=0.2,0", "--trials=1000", "--out=o.csv"], 1),
         (["search", "--refs=0,0;1,0;2,0", "--data=0,0", "--mode=explicit", "--out", "x.csv"], 2),
         (["search", "--refs", "0,0;0,0", "--data", "0,0"], 1),
+        (["qkd", "--n", "0", "--alpha", "1,0"], 1),
+        (["qkd", "--n=-3", "--alpha", "1,0"], 1),
+        (SEARCH + ["--n", "0"], 1),
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -497,6 +500,16 @@ def flags(command, **values):
 def test_bad_complex_flag_is_named(command, flag, expected, text, capsys):
     assert main(flags(command, **{flag: text})) == 1
     err = f"error: argument --{flag}: expected {expected}, got {text!r}\n"
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [("qkd", "0"), ("qkd", "-3"), ("qkd", "2.5"), ("search", "0"), ("search", "-1")],
+)
+def test_bad_count_flag_is_named(command, text, capsys):
+    assert main(flags(command, n=text)) == 1
+    err = f"error: argument --n: expected a positive integer, got {text!r}\n"
     assert capsys.readouterr() == ("", err)
 
 

@@ -180,6 +180,17 @@ def test_search_spec_match():
         assert SearchSpec((1.0, 2.0, 2.0), 1.0).match == 1
 
 
+def test_search_spec_warns_per_coincident_pair_in_order():
+    with pytest.warns(UserWarning, match="coincide") as caught:
+        spec = SearchSpec((1, 2, 1, 2), 1)
+    assert [str(w.message).split(" coincide")[0] for w in caught] == [
+        "references 1 and 3",
+        "references 2 and 4",
+    ]
+    assert all(w.filename == __file__ for w in caught)
+    assert spec.match is None
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_search_spec_matches_relative_to_largest_modulus():
     assert SearchSpec((0.1 + 0.2, 1.0), 0.3).match == 1
@@ -281,6 +292,55 @@ def test_run_search_batch_equals_single_trials(refs, data, mode):
         assert (single.identified or 0) == batch.identified[t]
         np.testing.assert_array_equal(single.clicked, batch.clicked[t])
         np.testing.assert_array_equal(single.retained, batch.retained)
+
+
+@pytest.mark.parametrize("mode", [DILATION, EXPLICIT])
+def test_search_propagates_once_per_spec_and_mode(mode, monkeypatch):
+    import cohcirc.protocols as protocols
+
+    matrices = []
+
+    def counted(m, amplitudes):
+        matrices.append(m)
+        return apply_matrix(m, amplitudes)
+
+    monkeypatch.setattr(protocols, "apply_matrix", counted)
+    spec = SearchSpec((0.3, 1.9j), 0.3)
+    outcomes = [run_search(spec, seed=t, mode=mode) for t in range(50)]
+    run_search(spec, seed=50, mode=mode, trials=1000)
+    restore(outcomes[0], spec)
+    forward = protocols.search_operator(spec, mode)
+    # One forward pass; the only other call is restore's inverse map.
+    assert sum(m is forward for m in matrices) == 1
+    assert len(matrices) == 2
+
+
+def test_search_results_keep_the_pass_read_only():
+    spec = SearchSpec((0.0, 1.5), 0.0)
+    for result in (run_search(spec, seed=1), run_search(spec, seed=1, trials=10)):
+        assert not result.retained.flags.writeable
+        with pytest.raises(ValueError):
+            result.retained[0] = 1.0
+
+
+def test_searched_spec_stays_equal_to_a_fresh_one():
+    searched, fresh = SearchSpec((0.0, 1.5), 0.0), SearchSpec((0.0, 1.5), 0.0)
+    run_search(searched, seed=3)
+    run_search(searched, seed=3, trials=5)
+    assert searched == fresh and hash(searched) == hash(fresh)
+    assert repr(searched) == repr(fresh)
+
+
+def test_failed_explicit_search_leaves_the_spec_usable():
+    spec = SearchSpec((1.0, 2.0, 3.0), 1.0)
+    with pytest.raises(DimensionError):
+        run_search(spec, seed=0, mode=EXPLICIT)
+    outcome = run_search(spec, seed=0, mode=DILATION)
+    assert outcome.mode == DILATION and outcome.retained.shape == (4,)
+    expected = np.concatenate([np.conj([1.0, 1.0, 2.0, 3.0]), np.zeros(4)])
+    assert np.max(np.abs(restore(outcome, spec) - expected)) <= 1e-12
+    with pytest.raises(DimensionError):
+        run_search(spec, seed=0, mode=EXPLICIT, trials=3)
 
 
 def test_explicit_mode_requires_two_references():
