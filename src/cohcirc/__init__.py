@@ -28,7 +28,6 @@ from .linalg import is_unitary, random_unitary, spectral_norm
 from .protocols import (
     BellcatQuery,
     BellcatResult,
-    SearchBatch,
     SearchOutcome,
     SearchSpec,
     analytic_success_probability,

@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .elements import _INTEGER
 from .engine import as_amplitudes
 from .errors import DimensionError, NonFiniteError
 
@@ -129,7 +130,7 @@ def _uniforms(seed: int, trials: int, n: int) -> np.ndarray:
 def sample_clicks(
     amplitudes, ports: Sequence[int] | Iterable[int], seed: int, trials: int | None = None
 ) -> np.ndarray:
-    """Independent Bernoulli click draws on ``ports``, reproducible by seed.
+    """Independent Bernoulli click draws on the integer ``ports``, reproducible by seed.
 
     Returns bools, True where a port clicked.  With ``trials=None`` one
     per port, drawn from ``default_rng(seed)``.  With an integer a
@@ -137,8 +138,10 @@ def sample_clicks(
     draw with seed ``seed + t`` gives; those seeds must lie in [0, 2**64).
     """
     vec = as_amplitudes(amplitudes)
-    ports = [int(p) for p in ports]
+    ports = list(ports)
     for port in ports:
+        if not isinstance(port, _INTEGER):
+            raise DimensionError(f"port must be an integer, got {port!r}")
         if not 0 <= port < vec.shape[0]:
             raise DimensionError(f"port {port} out of range for width {vec.shape[0]}")
     probabilities = np.array([click_probability(vec[port]) for port in ports])

@@ -18,7 +18,8 @@ import numpy as np
 from .errors import DimensionError, NonFiniteError
 
 
-# Modes index arrays, so they must be integers (numpy integer scalars too).
+# Modes, detector ports and circuit widths index arrays, so they must be
+# integers (numpy integer scalars too).
 _INTEGER = (int, np.integer)
 
 

@@ -23,7 +23,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg
 from .detection import click_probability, sample_clicks
 from .engine import apply_circuit, apply_matrix, pad_vacuum
 from .errors import ContractionError, DimensionError, NonFiniteError, SynthesisError
@@ -42,7 +41,7 @@ def dft_matrix(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache
 def _dft_circuit(n: int) -> Circuit:
     # Conjugated: the DFT is specified on physical amplitudes.
     return reck_decompose(dft_matrix(n).conj())
@@ -182,25 +181,27 @@ class SearchSpec:
         return len(self.references)
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
-    """Result of one seeded search trial.
+class SearchOutcome(NamedTuple):
+    """Result of one seeded search trial, or of a batch of them.
 
     ``identified`` is the 1-based reference index (which equals the
     0-based comparison-port index carrying data - reference), or None
     when the click pattern is inconclusive.  ``clicked[j]`` tells whether
-    comparison port j + 1 clicked.  ``retained`` is a read-only view of
-    the untouched group-B starred amplitudes; the measurement consumes
+    comparison port j + 1 clicked.  A batch of trials seed, seed + 1, ...
+    adds a leading trial axis: ``identified[t]`` and ``clicked[t]`` are
+    those of the single trial seed + t, with 0 for inconclusive.
+    ``retained`` is a read-only view of the untouched group-B starred
+    amplitudes, the same for every trial; the measurement consumes
     group-A ports 0..N.
     """
 
-    identified: int | None
+    identified: int | None | np.ndarray
     clicked: np.ndarray
     retained: np.ndarray
     mode: str
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache
 def _search_operator(n: int, c: float, mode: str) -> np.ndarray:
     if mode == EXPLICIT:
         if n != 2:
@@ -235,23 +236,9 @@ def _search_outputs(spec: SearchSpec, mode: str) -> np.ndarray:
     return passes[mode]
 
 
-class SearchBatch(NamedTuple):
-    """Results of the seeded search trials seed, seed + 1, ...
-
-    Row t is the single trial seed + t: ``identified[t]`` is its 1-based
-    reference index, 0 when inconclusive, and ``clicked[t]`` is its
-    ``SearchOutcome.clicked``.  ``retained`` and ``mode`` are the same for all.
-    """
-
-    identified: np.ndarray
-    clicked: np.ndarray
-    retained: np.ndarray
-    mode: str
-
-
 def run_search(
     spec: SearchSpec, seed: int, mode: str = DILATION, trials: int | None = None
-) -> SearchOutcome | SearchBatch:
+) -> SearchOutcome:
     """Seeded search trials.
 
     Every trial reads the one pass of (data, references, dark ports)
@@ -263,18 +250,18 @@ def run_search(
     inconclusive.  The group-B ports N+1..2N+1 are never measured and
     are returned, as a read-only view, for the restoration pass.
 
-    With ``trials=None`` runs one trial seeded with ``seed`` and returns
-    a ``SearchOutcome``.  With an integer runs the trials seeded with
-    seed, ..., seed + trials - 1 (all in [0, 2**64)) and returns a
-    ``SearchBatch`` whose row t equals the single trial ``seed + t``.
+    With ``trials=None`` runs one trial seeded with ``seed``.  With an
+    integer runs the trials seeded with seed, ..., seed + trials - 1 (all
+    in [0, 2**64)); the ``SearchOutcome`` then has a leading trial axis
+    whose row t equals the single trial ``seed + t``.
     """
     out = _search_outputs(spec, mode)
     clicked = sample_clicks(out, range(1, spec.n + 1), seed, trials)
     silent = ~clicked
     identified = np.where(silent.sum(axis=-1) == 1, silent.argmax(axis=-1) + 1, 0)
     if trials is None:
-        return SearchOutcome(int(identified) or None, clicked, out[spec.n + 1 :], mode)
-    return SearchBatch(identified, clicked, out[spec.n + 1 :], mode)
+        identified = int(identified) or None
+    return SearchOutcome(identified, clicked, out[spec.n + 1 :], mode)
 
 
 def restore(outcome: SearchOutcome, spec: SearchSpec) -> np.ndarray:
@@ -333,12 +320,9 @@ def search_circuit(n: int, c: float | None = None) -> tuple[Circuit, DilationPor
 
 # --- Bell-cat feasibility -------------------------------------------------
 
-BELL_TARGETS = {
-    "B00": ((-1, -1), (1, 1)),
-    "B10": ((1, 1), (-1, -1)),
-    "B01": ((-1, 1), (1, -1)),
-    "B11": ((1, -1), (-1, 1)),
-}
+# Sign pattern t1 of the first Bell-cat component target, in units of
+# alpha; the second target is t2 = -t1.
+BELL_TARGETS = {"B00": (-1, -1), "B10": (1, 1), "B01": (-1, 1), "B11": (1, -1)}
 
 _DEPENDENCE_TOL = 1e-12
 _FEASIBILITY_SLACK = 1e-12
@@ -372,13 +356,16 @@ class BellcatResult:
 def bellcat_feasibility(query: BellcatQuery, bell_state: str = "B00") -> BellcatResult:
     """Decide whether a contraction maps the raw pair onto a Bell-cat.
 
-    Looks for K with K v1 = t1 and K v2 = t2 where (t1, t2) is the
-    +-alpha sign pattern of the requested Bell-cat component states.
-    Linearly independent inputs determine K uniquely by inversion.
+    Looks for K with K v1 = alpha t1 and K v2 = alpha t2, where t1 is the
+    sign pattern ``BELL_TARGETS[bell_state]`` and t2 = -t1.  Every such K
+    sends s = v1 + v2 to 0, so it is the rank-one map K = alpha t1 r with
+    r v1 = 1 = -r v2.  Independent inputs fix r = (s_2, -s_1) / det[v1 v2].
     Dependent inputs (v2 = lambda*v1) need lambda*t1 = t2 = -t1: unless
     lambda = -1 only the zero map (alpha = 0) works, and for lambda = -1
-    K is the minimal-norm rank-one map.  Either way K = alpha * unit_k,
-    and feasibility is |alpha| * sigma_max(unit_k) <= 1 + 1e-12.
+    the minimal-norm choice is r = v1^dag / |v1|^2.  K's one singular value
+    is sqrt(2) |alpha| |r|, so the largest reachable amplitude is
+    |det[v1 v2]| / (sqrt(2) |v1 + v2|), or |v1| / sqrt(2) when v2 = -v1,
+    and feasibility is |alpha| <= max_alpha * (1 + 1e-12).
     """
     if bell_state not in BELL_TARGETS:
         raise ValueError(f"unknown Bell-cat label {bell_state!r}")
@@ -392,7 +379,6 @@ def bellcat_feasibility(query: BellcatQuery, bell_state: str = "B00") -> Bellcat
     for name, values in (("v1", parts[0]), ("v2", parts[1]), ("alpha", (alpha.real, alpha.imag))):
         if not math.isfinite(math.hypot(*values)):
             raise NonFiniteError(f"{name} must be finite, with a finite norm")
-    pat1, pat2 = (np.array(p, dtype=complex) for p in BELL_TARGETS[bell_state])
 
     # Powers of two scale exactly.  Row j of w is v_j * 2**-e_j, whose
     # largest part lies in [0.5, 1), and y is v on the larger of the two
@@ -402,13 +388,15 @@ def bellcat_feasibility(query: BellcatQuery, bell_state: str = "B00") -> Bellcat
     w, y = (
         np.ldexp(v.view(float), shift).view(complex) for shift in ([[-e1], [-e2]], -max(e1, e2))
     )
+    s = y[0] + y[1]
+    t1 = np.array(BELL_TARGETS[bell_state], dtype=complex)
     norm1 = np.linalg.norm(w[0])
     det = w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0]
     if abs(det) > _DEPENDENCE_TOL * norm1 * np.linalg.norm(w[1]):
-        # K = P V^-1 = P diag(2**-e1, 2**-e2) W^-1.
+        # det[v1 v2] = 2**(e1 + e2) det and v1 + v2 = 2**max(e1, e2) s.  Adding
+        # +0.0 turns each -0 part of a real map into +0.
         e = min(e1, e2)
-        patterns = np.column_stack([pat1, pat2]) * np.ldexp(1.0, [e - e1, e - e2])
-        unit_k = patterns @ np.linalg.inv(w.T)
+        unit_k = np.outer(t1, [s[1], -s[0]]) / det + 0.0
     else:
         a, b = y[:, int(np.argmax(np.abs(y[0])))]
         anti = norm1 > 0 and abs(a + b) <= _DEPENDENCE_TOL * max(abs(a), abs(b))
@@ -421,11 +409,12 @@ def bellcat_feasibility(query: BellcatQuery, bell_state: str = "B00") -> Bellcat
                 0.0 if feasible else float("nan"),
             )
         e = e1
-        unit_k = np.outer(pat1, w[0].conj()) / norm1**2
+        unit_k = np.outer(t1, w[0].conj()) / norm1**2
 
-    max_alpha = math.ldexp(1.0 / linalg.spectral_norm(unit_k), e)
+    # A rank-one map's only singular value is its Frobenius norm.
+    max_alpha = math.ldexp(1.0 / np.linalg.norm(unit_k), e)
     if abs(alpha) > max_alpha * (1.0 + _FEASIBILITY_SLACK):
         return BellcatResult(False, None, max_alpha, float("nan"))
     k = complex(math.ldexp(alpha.real, -e), math.ldexp(alpha.imag, -e)) * unit_k
-    residual = float(np.max(np.abs(k @ (y[0] + y[1]))))
+    residual = float(np.max(np.abs(k @ s)))
     return BellcatResult(True, k, max_alpha, math.ldexp(residual, max(e1, e2)))

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import linalg
 from .elements import (
+    _INTEGER,
     Beamsplitter,
     OpticalElement,
     PhaseShifter,
@@ -77,6 +78,8 @@ class Circuit:
             )
             error.row = k  # for messages that name where the element came from
             raise error
+        if not isinstance(width, _INTEGER):
+            raise DimensionError(f"circuit width must be an integer, got {width!r}")
         if width < 1:
             raise DimensionError("circuit width must be at least 1")
         beyond = modes.max(axis=1, initial=0) >= width

@@ -412,6 +412,10 @@ BAD_INPUT_FILES = {
     "huge_input.txt": "n=2\n1e200 0\n0 0\n",
     "huge_output.txt": "n=2\n1.7e308 0\n1.7e308 0\n",
     "huge_matrix.txt": "1 1\n1e308 0\n",
+    "empty_matrix.txt": "",
+    "no_rows_matrix.txt": "0 2\n",
+    "no_modes.txt": "n=0\n",
+    "three_numbers.txt": "n=1\n1 2 3\n",
 }
 
 
@@ -448,6 +452,10 @@ BAD_INPUT_FILES = {
         (["qkd", "--n", "0", "--alpha", "1,0"], 1),
         (["qkd", "--n=-3", "--alpha", "1,0"], 1),
         (SEARCH + ["--n", "0"], 1),
+        (["synth", "empty_matrix.txt", "out.txt"], 1),
+        (["synth", "no_rows_matrix.txt", "out.txt"], 1),
+        (["run", "splitter.txt", "no_modes.txt"], 1),
+        (["run", "splitter.txt", "three_numbers.txt"], 1),
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -462,6 +470,26 @@ def test_bad_input_exits_with_one_error_line(argv, code, tmp_path, monkeypatch, 
     outputs = [argv[i + 1] for i, arg in enumerate(argv) if arg == "--out"]
     outputs += [arg.removeprefix("--out=") for arg in argv if arg.startswith("--out=")]
     assert not any((tmp_path / path).exists() for path in outputs)
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["synth", "empty_matrix.txt", "out.txt"], "matrix: empty input"),
+        (["synth", "no_rows_matrix.txt", "out.txt"], "matrix: invalid shape 0x2"),
+        (["run", "splitter.txt", "no_modes.txt"], "amplitudes: invalid width 0"),
+        (
+            ["run", "splitter.txt", "three_numbers.txt"],
+            "amplitudes: expected 're im', got '1 2 3'",
+        ),
+    ],
+)
+def test_malformed_file_error_lines_are_pinned(argv, line, tmp_path, monkeypatch, capsys):
+    for name, text in BAD_INPUT_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {line}\n")
 
 
 COMPLEX = "a finite complex number 're,im'"

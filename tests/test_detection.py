@@ -101,6 +101,17 @@ def test_sample_clicks_rejects_bad_port():
         sample_clicks([1.0], [1], seed=0)
 
 
+@pytest.mark.parametrize("ports", [[0.5], [1.0, 1.0], [1.9], ["1"], [None]])
+def test_sample_clicks_rejects_non_integer_ports(ports):
+    with pytest.raises(DimensionError, match="integer"):
+        sample_clicks([1.0, 1.0], ports, seed=0)
+
+
+def test_sample_clicks_accepts_numpy_integer_ports():
+    clicks = sample_clicks([1.0, 0.0], np.array([1, 0]), seed=0)
+    np.testing.assert_array_equal(clicks, sample_clicks([1.0, 0.0], [1, 0], seed=0))
+
+
 def test_click_probability_saturates_instead_of_overflowing():
     assert click_probability(2.7e154j) == 1.0
     assert click_probability(complex(1.7e308, 1.7e308)) == 1.0

@@ -3,6 +3,7 @@ import pytest
 
 from cohcirc import (
     BellcatQuery,
+    SearchOutcome,
     SearchSpec,
     analytic_success_probability,
     apply_matrix,
@@ -22,9 +23,10 @@ from cohcirc import (
     search_unitary_explicit,
     success_probability,
 )
+from cohcirc import protocols
 from cohcirc.errors import ContractionError, DimensionError, NonFiniteError
 from cohcirc.linalg import max_abs, unitarity_defect
-from cohcirc.protocols import DILATION, EXPLICIT
+from cohcirc.protocols import BELL_TARGETS, DILATION, EXPLICIT
 from conftest import psd_root
 
 
@@ -323,6 +325,23 @@ def test_search_results_keep_the_pass_read_only():
             result.retained[0] = 1.0
 
 
+def test_single_trials_and_batches_share_one_result_type():
+    spec = SearchSpec((0.0, 1.5, 3.0), 0.0)
+    single = run_search(spec, seed=4)
+    batch = run_search(spec, seed=4, trials=6)
+    assert type(single) is type(batch) is SearchOutcome
+    assert single.clicked.shape == (3,) and batch.clicked.shape == (6, 3)
+    assert batch.identified.shape == (6,)
+    assert single.identified in (1, None) and batch.identified[0] == (single.identified or 0)
+
+
+def test_search_operator_cache_is_bounded():
+    for c in np.linspace(0.2, 0.5, 200):
+        protocols.search_operator(SearchSpec((0.0, 1.0), 0.0, c=c))
+    assert protocols._search_operator.cache_info().currsize <= 128
+    assert protocols._dft_circuit.cache_info().maxsize == 128
+
+
 def test_searched_spec_stays_equal_to_a_fresh_one():
     searched, fresh = SearchSpec((0.0, 1.5), 0.0), SearchSpec((0.0, 1.5), 0.0)
     run_search(searched, seed=3)
@@ -589,3 +608,49 @@ def test_bellcat_is_scale_covariant(scale):
     assert anti.feasible
     assert anti.max_alpha == pytest.approx(scale * anti_unit.max_alpha, rel=1e-12)
     assert np.allclose(anti.contraction, anti_unit.contraction, rtol=1e-12, atol=0)
+
+
+def test_bellcat_maps_onto_opposite_targets_for_every_label():
+    rng = np.random.default_rng(8)
+    v1, v2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    for label, t1 in BELL_TARGETS.items():
+        result = bellcat_feasibility(BellcatQuery(v1, v2, 0.1 + 0.05j), bell_state=label)
+        assert result.feasible
+        target = (0.1 + 0.05j) * np.array(t1)
+        assert np.allclose(result.contraction @ v1, target, atol=1e-12)
+        assert np.allclose(result.contraction @ v2, -target, atol=1e-12)
+
+
+def test_bellcat_max_alpha_is_the_closed_form():
+    # |det[v1 v2]| / (sqrt(2) |v1 + v2|) for independent inputs.
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        v1, v2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        det = v1[0] * v2[1] - v1[1] * v2[0]
+        expected = abs(det) / (np.sqrt(2) * np.linalg.norm(v1 + v2))
+        result = bellcat_feasibility(BellcatQuery(v1, v2, 0.0))
+        assert result.max_alpha == pytest.approx(expected, rel=1e-12)
+
+
+def test_bellcat_takes_no_inverse_and_no_svd(monkeypatch):
+    # The realizing map is rank one, so neither a matrix inverse nor an SVD
+    # is needed to build it or to find its singular value.
+    calls = []
+    for name in ("inv", "svd", "pinv"):
+        wrapped = getattr(np.linalg, name)
+        record = lambda *a, _f=wrapped, _n=name, **kw: calls.append(_n) or _f(*a, **kw)
+        monkeypatch.setattr(np.linalg, name, record)
+    queries = [
+        BellcatQuery((1.0, 0.5j), (-0.25, 2.0), 0.3),  # independent, feasible
+        BellcatQuery((1.0, 0.5j), (-0.25, 2.0), 3.0),  # independent, infeasible
+        BellcatQuery((1 + 1j, 2.0), (-1 - 1j, -2.0), 0.5),  # anti-parallel
+        BellcatQuery((1.0, 2.0), (2.0, 4.0), 0.0),  # dependent, zero map
+    ]
+    for query in queries:
+        bellcat_feasibility(query)
+    assert calls == []
+
+
+def test_bellcat_rejects_three_mode_vectors():
+    with pytest.raises(DimensionError):
+        bellcat_feasibility(BellcatQuery((1.0, 0.0, 0.0), (0.0, 1.0), 0.1))

@@ -49,6 +49,17 @@ def test_circuit_rejects_out_of_range_modes():
         Circuit(2, (PhaseShifter(2, 0.1),))
 
 
+def test_circuit_accepts_numpy_integer_width():
+    assert Circuit(np.int64(2), [Beamsplitter(0, 1, 0.3, 0.0)]) == Circuit(
+        2, [Beamsplitter(0, 1, 0.3, 0.0)]
+    )
+
+
+def test_reck_rejects_non_square_matrix():
+    with pytest.raises(SynthesisError, match="only square matrices"):
+        reck_decompose(np.ones((2, 3)))
+
+
 def test_reck_identity_gives_empty_circuit():
     circuit = reck_decompose(np.eye(5))
     assert circuit.elements == ()
@@ -223,6 +234,13 @@ NON_CANONICAL = "a phase shifter row must repeat its mode and have theta 0, got 
     "build, error, message",
     [
         (lambda: Circuit(0), DimensionError, "circuit width must be at least 1"),
+        (
+            lambda: Circuit(2.5, [Beamsplitter(0, 1, 0.3, 0.0)]),
+            DimensionError,
+            "circuit width must be an integer, got 2.5",
+        ),
+        (lambda: Circuit(2.0), DimensionError, "circuit width must be an integer, got 2.0"),
+        (lambda: Circuit("2"), DimensionError, "circuit width must be an integer, got '2'"),
         (
             lambda: Circuit(2, (PhaseShifter(2, 0.1),)),
             DimensionError,
