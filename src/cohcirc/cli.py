@@ -143,12 +143,11 @@ def cmd_search(args) -> int:
         )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        spec = protocols.SearchSpec(args.refs, args.data, c=args.c)
+        spec = protocols.SearchSpec(args.refs, args.data, c=args.c, mode=args.mode)
     if spec.match is None:
         raise ParseError("--data must match exactly one of --refs")
     for w in caught:  # coincident references warn only on an accepted search
         print(f"warning: {w.message}", file=sys.stderr)
-    protocols.search_operator(spec, args.mode)  # domain errors before any output
     analytic = protocols.analytic_success_probability(spec)
     row_end = f",{analytic:.12g}\r\n"
     identified = ["", *map(str, range(1, spec.n + 1))]  # 0 is inconclusive
@@ -167,7 +166,7 @@ def cmd_search(args) -> int:
         successes = 0
         for start in range(0, args.trials, SEARCH_BLOCK):
             block = range(start, min(start + SEARCH_BLOCK, args.trials))
-            batch = protocols.run_search(spec, args.seed + start, args.mode, trials=len(block))
+            batch = protocols.run_search(spec, args.seed + start, trials=len(block))
             # A row past its trial number depends only on the click pattern, so
             # each pattern that occurs is formatted once.  Its key is the bool
             # row viewed as bytes, exact for any number of references.

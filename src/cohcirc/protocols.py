@@ -80,8 +80,8 @@ def comparison_map(n: int, c: float | None = None) -> np.ndarray:
     """(n+1) x (n+1) contraction comparing one datum against n references.
 
     Acting on starred (a0*, a1*, ..., an*), row 0 is zero and row j
-    yields c*(a0* - aj*).  The largest singular value is c*sqrt(n+1),
-    so the map is a contraction exactly when c <= 1/sqrt(n+1), the
+    yields c*(a0* - aj*).  The largest singular value is |c|*sqrt(n+1),
+    so the map is a contraction exactly when |c| <= 1/sqrt(n+1), the
     default scale.
     """
     if n < 2:
@@ -131,15 +131,18 @@ class SearchSpec:
 
     ``data`` is the unknown amplitude, promised to match one of
     ``references``; ``c`` is the comparison scale (defaults to the
-    maximum 1/sqrt(N+1)).  Two amplitudes a and b match when
-    |a - b| <= 1e-12 * s, where s is the largest modulus among the datum
-    and the references.  ``match`` is the 1-based index of the single
-    reference matching ``data``, or None when none or several do.
+    maximum 1/sqrt(N+1)); ``mode`` picks the unitary completion of the
+    comparison map: ``DILATION`` (any N) or ``EXPLICIT`` (the 6x6
+    constant, N = 2 and c = 1/sqrt(3) only).  Two amplitudes a and b
+    match when |a - b| <= 1e-12 * s, where s is the largest modulus among
+    the datum and the references.  ``match`` is the 1-based index of the
+    single reference matching ``data``, or None when none or several do.
     """
 
     references: tuple[complex, ...]
     data: complex
     c: float | None = None
+    mode: str = DILATION
     match: int | None = field(init=False)
 
     def __post_init__(self):
@@ -152,12 +155,19 @@ class SearchSpec:
         scale = float(c_max if self.c is None else self.c)
         if not math.isfinite(scale):
             raise NonFiniteError(f"comparison scale must be finite, got {scale}")
-        if scale > c_max + 1e-12:
+        if abs(scale) > c_max + 1e-12:
             raise ContractionError(
                 f"comparison scale {scale:.12g} exceeds the contraction bound "
                 f"{c_max:.12g} for {len(refs)} references"
             )
         object.__setattr__(self, "c", scale)
+        if self.mode == EXPLICIT:
+            if len(refs) != 2:
+                raise DimensionError("explicit mode is only defined for two references")
+            if abs(scale - max_comparison_scale(2)) > 1e-12:
+                raise SynthesisError("explicit mode fixes the comparison scale to 1/sqrt(3)")
+        elif self.mode != DILATION:
+            raise ValueError(f"unknown search mode {self.mode!r}; expected one of {SEARCH_MODES}")
         values = (self.data, *refs)
         if not all(map(cmath.isfinite, values)):
             raise NonFiniteError("the datum and the references must be finite")
@@ -180,6 +190,20 @@ class SearchSpec:
     def n(self) -> int:
         return len(self.references)
 
+    @property
+    def operator(self) -> np.ndarray:
+        """The read-only identification unitary, shared between equal setups."""
+        return _search_operator(self.n, self.c, self.mode)
+
+    @functools.cached_property
+    def outputs(self) -> np.ndarray:
+        """Read-only starred outputs of (data, references, dark ports) under
+        ``operator``: the forward pass, computed once per instance."""
+        starred = pad_vacuum(np.conj((self.data, *self.references)), 2 * (self.n + 1))
+        out = apply_matrix(self.operator, starred)
+        out.flags.writeable = False  # before any caller can see it
+        return out
+
 
 class SearchOutcome(NamedTuple):
     """Result of one seeded search trial, or of a batch of them.
@@ -198,52 +222,20 @@ class SearchOutcome(NamedTuple):
     identified: int | None | np.ndarray
     clicked: np.ndarray
     retained: np.ndarray
-    mode: str
 
 
 @functools.lru_cache
 def _search_operator(n: int, c: float, mode: str) -> np.ndarray:
-    if mode == EXPLICIT:
-        if n != 2:
-            raise DimensionError("explicit mode is only defined for two references")
-        if abs(c - max_comparison_scale(2)) > 1e-12:
-            raise SynthesisError("explicit mode fixes the comparison scale to 1/sqrt(3)")
-        u = search_unitary_explicit()
-    elif mode == DILATION:
-        u, _ = dilate(comparison_map(n, c))
-    else:
-        raise ValueError(f"unknown search mode {mode!r}; expected one of {SEARCH_MODES}")
+    u = search_unitary_explicit() if mode == EXPLICIT else dilate(comparison_map(n, c))[0]
     u.flags.writeable = False
     return u
 
 
-def search_operator(spec: SearchSpec, mode: str = DILATION) -> np.ndarray:
-    """The cached identification unitary; raises if ``mode`` cannot serve ``spec``."""
-    return _search_operator(spec.n, spec.c, mode)
-
-
-def _search_outputs(spec: SearchSpec, mode: str) -> np.ndarray:
-    """Read-only starred outputs of (data, references, dark ports) under the
-    identification unitary; computed once per spec instance and mode."""
-    # Kept on the instance outside the dataclass fields, as
-    # functools.cached_property does, so equality and hashing ignore it.
-    passes = spec.__dict__.setdefault("_outputs", {})
-    if mode not in passes:
-        starred = pad_vacuum(np.conj((spec.data, *spec.references)), 2 * (spec.n + 1))
-        out = apply_matrix(search_operator(spec, mode), starred)
-        out.flags.writeable = False  # before any caller can see it
-        passes[mode] = out
-    return passes[mode]
-
-
-def run_search(
-    spec: SearchSpec, seed: int, mode: str = DILATION, trials: int | None = None
-) -> SearchOutcome:
+def run_search(spec: SearchSpec, seed: int, trials: int | None = None) -> SearchOutcome:
     """Seeded search trials.
 
-    Every trial reads the one pass of (data, references, dark ports)
-    through the identification unitary kept per spec instance and mode,
-    and samples threshold detectors on the comparison ports 1..N, where
+    Every trial reads the spec's one forward pass ``spec.outputs`` and
+    samples threshold detectors on the comparison ports 1..N, where
     port j carries c*(data* - ref_j*).  A click at port j rules reference
     j out; the datum is identified as reference k exactly when port k is
     the only comparison port that stayed silent.  Any other pattern is
@@ -255,13 +247,13 @@ def run_search(
     in [0, 2**64)); the ``SearchOutcome`` then has a leading trial axis
     whose row t equals the single trial ``seed + t``.
     """
-    out = _search_outputs(spec, mode)
+    out = spec.outputs
     clicked = sample_clicks(out, range(1, spec.n + 1), seed, trials)
     silent = ~clicked
     identified = np.where(silent.sum(axis=-1) == 1, silent.argmax(axis=-1) + 1, 0)
     if trials is None:
         identified = int(identified) or None
-    return SearchOutcome(identified, clicked, out[spec.n + 1 :], mode)
+    return SearchOutcome(identified, clicked, out[spec.n + 1 :])
 
 
 def restore(outcome: SearchOutcome, spec: SearchSpec) -> np.ndarray:
@@ -278,9 +270,8 @@ def restore(outcome: SearchOutcome, spec: SearchSpec) -> np.ndarray:
             f"retained group has width {outcome.retained.shape[0]}, "
             f"expected {spec.n + 1}"
         )
-    fresh = _search_outputs(spec, outcome.mode)[: spec.n + 1]
-    reassembled = np.concatenate([fresh, outcome.retained])
-    return apply_matrix(search_operator(spec, outcome.mode).conj().T, reassembled)
+    reassembled = np.concatenate([spec.outputs[: spec.n + 1], outcome.retained])
+    return apply_matrix(spec.operator.conj().T, reassembled)
 
 
 def success_probability(alpha1: complex, alpha2: complex) -> float:
@@ -344,7 +335,9 @@ class BellcatResult:
     ``contraction`` is the realizing map (None when infeasible),
     ``max_alpha`` the largest cat amplitude reachable from the same
     inputs, and ``kernel_residual`` the explicit cross-check
-    max|K (v1 + v2)|, which must vanish for any valid solution.
+    max|K (v1 + v2)| / |alpha| (0 when alpha = 0), which must vanish for
+    any valid solution: the residual of the map for alpha = 1, which does
+    not grow with the inputs' scale, or inf past the float range.
     """
 
     feasible: bool
@@ -416,5 +409,11 @@ def bellcat_feasibility(query: BellcatQuery, bell_state: str = "B00") -> Bellcat
     if abs(alpha) > max_alpha * (1.0 + _FEASIBILITY_SLACK):
         return BellcatResult(False, None, max_alpha, float("nan"))
     k = complex(math.ldexp(alpha.real, -e), math.ldexp(alpha.imag, -e)) * unit_k
-    residual = float(np.max(np.abs(k @ s)))
-    return BellcatResult(True, k, max_alpha, math.ldexp(residual, max(e1, e2)))
+    # max|K (v1 + v2)| / |alpha| is the residual of the map for alpha = 1,
+    # 2**-e unit_k, on v1 + v2 = 2**max(e1, e2) s.
+    residual = float(np.max(np.abs(unit_k @ s))) if alpha else 0.0
+    try:
+        residual = math.ldexp(residual, max(e1, e2) - e)
+    except OverflowError:  # inputs whose scales differ by more than about 2**1000
+        residual = math.inf
+    return BellcatResult(True, k, max_alpha, residual)

@@ -212,7 +212,6 @@ def reck_decompose(u, tol: float = linalg.UNITARY_TOL, full_mesh: bool = False) 
         start, end = end, end + row
         a = targets[start:end]
         a[:] = wt[row - 1 :: -1, row]  # column row - 1 first
-        wt[:row, row] = 0.0
         size = np.abs(a)
         (k,) = (size > tol).nonzero()
         if not k.size:

@@ -3,7 +3,6 @@ import itertools
 import numpy as np
 
 from cohcirc import Beamsplitter, Circuit, PhaseShifter, analytic_success_probability, run_search
-from cohcirc.protocols import DILATION
 
 
 def random_contraction(rng, size: int, sigma_max: float) -> np.ndarray:
@@ -56,10 +55,10 @@ def random_amplitudes(rng, width: int, scale: float = 2.0) -> np.ndarray:
     return scale * (rng.standard_normal(width) + 1j * rng.standard_normal(width))
 
 
-def search_csv_texts(spec, seed: int, trials: int, mode: str = DILATION) -> tuple[str, str]:
+def search_csv_texts(spec, seed: int, trials: int) -> tuple[str, str]:
     """The ``search --out`` and ``--clicks-out`` texts formatted one row per
     trial from a single batch: the reference for the CLI's block writer."""
-    batch = run_search(spec, seed, mode, trials=trials)
+    batch = run_search(spec, seed, trials=trials)
     row_end = f",{analytic_success_probability(spec):.12g}\r\n"
     labels = [str(port + 1) for port in range(1, spec.n + 1)]
     rows = ["trial,identified,clicked_ports,p_succ_analytic\r\n"]

@@ -156,9 +156,8 @@ def test_criterion_08_restoration():
     for i in range(100):
         refs = tuple(rng.standard_normal(2) + 1j * rng.standard_normal(2))
         data = refs[i % 2] if i % 3 else rng.standard_normal() + 1j * rng.standard_normal()
-        spec = SearchSpec(refs, data)
-        mode = EXPLICIT if i % 2 == 0 else DILATION
-        outcome = run_search(spec, seed=int(rng.integers(1 << 30)), mode=mode)
+        spec = SearchSpec(refs, data, mode=EXPLICIT if i % 2 == 0 else DILATION)
+        outcome = run_search(spec, seed=int(rng.integers(1 << 30)))
         restored = restore(outcome, spec)
         expected = np.concatenate([np.conj([spec.data, *spec.references]), np.zeros(3)])
         worst = max(worst, float(np.max(np.abs(restored - expected))))

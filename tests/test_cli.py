@@ -456,6 +456,10 @@ BAD_INPUT_FILES = {
         (["synth", "no_rows_matrix.txt", "out.txt"], 1),
         (["run", "splitter.txt", "no_modes.txt"], 1),
         (["run", "splitter.txt", "three_numbers.txt"], 1),
+        (["search", "--refs=0,0;1,0;2,0", "--data=0,0", "--mode=explicit", "--clicks-out", "k.csv"], 2),
+        (SEARCH + ["--mode", "explicit", "--c", "0.1", "--out", "o.csv", "--clicks-out=k.csv"], 2),
+        # The mode is checked when the spec is built, before the match.
+        (["search", "--refs=0,0;1,0;2,0", "--data=5,0", "--mode=explicit"], 2),
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -467,8 +471,10 @@ def test_bad_input_exits_with_one_error_line(argv, code, tmp_path, monkeypatch, 
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     # A rejected search opens no output file.
-    outputs = [argv[i + 1] for i, arg in enumerate(argv) if arg == "--out"]
-    outputs += [arg.removeprefix("--out=") for arg in argv if arg.startswith("--out=")]
+    flags = ("--out", "--clicks-out")
+    outputs = [argv[i + 1] for i, arg in enumerate(argv) if arg in flags]
+    pairs = [arg.partition("=") for arg in argv]
+    outputs += [value for flag, eq, value in pairs if eq and flag in flags]
     assert not any((tmp_path / path).exists() for path in outputs)
 
 

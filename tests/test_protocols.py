@@ -24,7 +24,7 @@ from cohcirc import (
     success_probability,
 )
 from cohcirc import protocols
-from cohcirc.errors import ContractionError, DimensionError, NonFiniteError
+from cohcirc.errors import ContractionError, DimensionError, NonFiniteError, SynthesisError
 from cohcirc.linalg import max_abs, unitarity_defect
 from cohcirc.protocols import BELL_TARGETS, DILATION, EXPLICIT
 from conftest import psd_root
@@ -161,6 +161,18 @@ def test_search_spec_rejects_oversized_scale():
         SearchSpec((1.0, 2.0), 1.0, c=0.9)
 
 
+def test_search_spec_bounds_the_modulus_of_the_scale():
+    with pytest.raises(ContractionError, match="exceeds the contraction bound"):
+        SearchSpec((0.0, 1.0), 0.0, c=-1.0)
+    spec = SearchSpec((0.0, 1.0), 0.0, c=-1 / np.sqrt(3))
+    assert np.linalg.svd(comparison_map(2, spec.c), compute_uv=False)[0] == pytest.approx(1.0)
+    assert analytic_success_probability(spec) == pytest.approx(success_probability(0.0, 1.0))
+    batch = run_search(spec, seed=5, trials=20)
+    expected = np.concatenate([np.conj([0.0, 0.0, 1.0]), np.zeros(3)])
+    assert np.max(np.abs(restore(batch, spec) - expected)) <= 1e-12
+    assert set(batch.identified.tolist()) <= {0, 1}
+
+
 def test_search_spec_warns_on_degenerate_references():
     with pytest.warns(UserWarning, match="coincide") as caught:
         SearchSpec((1.0, 1.0), 1.0)
@@ -268,9 +280,10 @@ def test_run_search_modes_share_click_statistics():
     comparison_explicit = apply_matrix(u_explicit, starred)[1:3]
     comparison_dilated = apply_matrix(u_dilated, starred)[1:3]
     assert np.max(np.abs(comparison_explicit - comparison_dilated)) <= 1e-14
+    explicit = SearchSpec((0.3, 1.9), 0.3, mode=EXPLICIT)
     for t in range(100):
-        a = run_search(spec, seed=100 + t, mode=EXPLICIT)
-        b = run_search(spec, seed=100 + t, mode=DILATION)
+        a = run_search(explicit, seed=100 + t)
+        b = run_search(spec, seed=100 + t)
         assert a.identified == b.identified
         np.testing.assert_array_equal(a.clicked, b.clicked)
 
@@ -285,12 +298,11 @@ def test_run_search_modes_share_click_statistics():
     ],
 )
 def test_run_search_batch_equals_single_trials(refs, data, mode):
-    spec = SearchSpec(refs, data)
-    batch = run_search(spec, seed=2**40 - 1000, mode=mode, trials=2000)
+    spec = SearchSpec(refs, data, mode=mode)
+    batch = run_search(spec, seed=2**40 - 1000, trials=2000)
     assert batch.identified.shape == (2000,) and batch.clicked.shape == (2000, len(refs))
-    assert batch.mode == mode
     for t in range(2000):
-        single = run_search(spec, seed=2**40 - 1000 + t, mode=mode)
+        single = run_search(spec, seed=2**40 - 1000 + t)
         assert (single.identified or 0) == batch.identified[t]
         np.testing.assert_array_equal(single.clicked, batch.clicked[t])
         np.testing.assert_array_equal(single.retained, batch.retained)
@@ -307,11 +319,11 @@ def test_search_propagates_once_per_spec_and_mode(mode, monkeypatch):
         return apply_matrix(m, amplitudes)
 
     monkeypatch.setattr(protocols, "apply_matrix", counted)
-    spec = SearchSpec((0.3, 1.9j), 0.3)
-    outcomes = [run_search(spec, seed=t, mode=mode) for t in range(50)]
-    run_search(spec, seed=50, mode=mode, trials=1000)
+    spec = SearchSpec((0.3, 1.9j), 0.3, mode=mode)
+    outcomes = [run_search(spec, seed=t) for t in range(50)]
+    run_search(spec, seed=50, trials=1000)
     restore(outcomes[0], spec)
-    forward = protocols.search_operator(spec, mode)
+    forward = spec.operator
     # One forward pass; the only other call is restore's inverse map.
     assert sum(m is forward for m in matrices) == 1
     assert len(matrices) == 2
@@ -337,7 +349,7 @@ def test_single_trials_and_batches_share_one_result_type():
 
 def test_search_operator_cache_is_bounded():
     for c in np.linspace(0.2, 0.5, 200):
-        protocols.search_operator(SearchSpec((0.0, 1.0), 0.0, c=c))
+        SearchSpec((0.0, 1.0), 0.0, c=c).operator
     assert protocols._search_operator.cache_info().currsize <= 128
     assert protocols._dft_circuit.cache_info().maxsize == 128
 
@@ -350,28 +362,43 @@ def test_searched_spec_stays_equal_to_a_fresh_one():
     assert repr(searched) == repr(fresh)
 
 
-def test_failed_explicit_search_leaves_the_spec_usable():
+def test_explicit_spec_is_rejected_when_built():
+    with pytest.raises(SynthesisError, match="fixes the comparison scale"):
+        SearchSpec((1.0, 2.0), 1.0, c=0.5, mode=EXPLICIT)
+    # The same setups build in dilation mode and search and restore there.
     spec = SearchSpec((1.0, 2.0, 3.0), 1.0)
-    with pytest.raises(DimensionError):
-        run_search(spec, seed=0, mode=EXPLICIT)
-    outcome = run_search(spec, seed=0, mode=DILATION)
-    assert outcome.mode == DILATION and outcome.retained.shape == (4,)
+    outcome = run_search(spec, seed=0)
+    assert outcome.retained.shape == (4,)
     expected = np.concatenate([np.conj([1.0, 1.0, 2.0, 3.0]), np.zeros(4)])
     assert np.max(np.abs(restore(outcome, spec) - expected)) <= 1e-12
-    with pytest.raises(DimensionError):
-        run_search(spec, seed=0, mode=EXPLICIT, trials=3)
 
 
 def test_explicit_mode_requires_two_references():
-    spec = SearchSpec((1.0, 2.0, 3.0), 1.0)
-    with pytest.raises(ValueError):
-        run_search(spec, seed=0, mode=EXPLICIT)
+    with pytest.raises(DimensionError, match="only defined for two references"):
+        SearchSpec((1.0, 2.0, 3.0), 1.0, mode=EXPLICIT)
 
 
 def test_unknown_mode_rejected():
-    spec = SearchSpec((1.0, 2.0), 1.0)
-    with pytest.raises(ValueError):
-        run_search(spec, seed=0, mode="bogus")
+    with pytest.raises(ValueError, match="unknown search mode 'bogus'"):
+        SearchSpec((1.0, 2.0), 1.0, mode="bogus")
+
+
+def test_specs_differing_only_in_mode_are_distinct():
+    dilation, explicit = (SearchSpec((0.0, 1.5), 0.0, mode=m) for m in (DILATION, EXPLICIT))
+    assert dilation != explicit and hash(dilation) != hash(explicit)
+    assert "mode='dilation'" in repr(dilation) and "mode='explicit'" in repr(explicit)
+    assert dilation == SearchSpec((0.0, 1.5), 0.0)
+    assert not np.array_equal(dilation.operator, explicit.operator)
+
+
+def test_spec_outputs_are_computed_once_and_read_only():
+    spec = SearchSpec((0.0, 1.5), 0.0)
+    assert spec.outputs is spec.outputs
+    assert not spec.outputs.flags.writeable and not spec.operator.flags.writeable
+    with pytest.raises(AttributeError):
+        spec.outputs = np.zeros(6)
+    with pytest.raises(AttributeError):
+        spec.mode = EXPLICIT
 
 
 # --- restoration -------------------------------------------------------------
@@ -381,8 +408,8 @@ def test_restore_roundtrip_both_modes():
     rng = np.random.default_rng(40)
     for mode in (EXPLICIT, DILATION):
         refs = tuple(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        spec = SearchSpec(refs, refs[0])
-        outcome = run_search(spec, seed=77, mode=mode)
+        spec = SearchSpec(refs, refs[0], mode=mode)
+        outcome = run_search(spec, seed=77)
         restored = restore(outcome, spec)
         expected = np.conj(np.array([spec.data, *spec.references, 0, 0, 0])[:3])
         expected = np.concatenate([expected, np.zeros(3)])
@@ -431,7 +458,6 @@ def test_restore_rejects_bad_retained_width():
         identified=outcome.identified,
         clicked=outcome.clicked,
         retained=outcome.retained[:-1],
-        mode=outcome.mode,
     )
     with pytest.raises(DimensionError):
         restore(bad, spec)
@@ -561,6 +587,38 @@ def test_bellcat_kernel_condition_on_random_feasible_queries():
             assert result.kernel_residual <= 1e-10
             assert np.max(np.abs(result.contraction @ (v1 + v2))) <= 1e-10
     assert found > 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-300, 1e-100, 1.0, 1e100, 1e300])
+@pytest.mark.parametrize("v2", [(0.4, -1.1 + 0.2j), (-1.0, -0.7j)], ids=["independent", "anti"])
+def test_bellcat_kernel_residual_is_scale_free(scale, v2):
+    v1 = np.array([1.0, 0.7j]) * scale
+    v2 = np.array(v2) * scale
+    bound = bellcat_feasibility(BellcatQuery(tuple(v1), tuple(v2), 0.0))
+    assert bound.kernel_residual == 0.0
+    alpha = 0.6 * bound.max_alpha * np.exp(0.4j)
+    result = bellcat_feasibility(BellcatQuery(tuple(v1), tuple(v2), alpha))
+    assert result.feasible and result.kernel_residual <= 1e-14
+    target = alpha * np.array(BELL_TARGETS["B00"])
+    assert np.max(np.abs(result.contraction @ v1 - target)) <= 1e-14 * abs(alpha)
+
+
+def test_bellcat_kernel_residual_on_a_near_antiparallel_pair():
+    v1 = np.array([1.0, 0.5j])
+    v2 = -v1 + 1e-13 * np.array([1.0, 1.0])
+    result = bellcat_feasibility(BellcatQuery(tuple(v1), tuple(v2), 0.3))
+    assert result.feasible and result.kernel_residual <= 1e-12
+    assert np.max(np.abs(result.contraction @ (v1 + v2))) / 0.3 <= 1e-12
+
+
+def test_bellcat_kernel_residual_past_the_float_range_reads_inf():
+    # For alpha = 1 the map is about 1e300 and v1 + v2 about 1e300, so its
+    # rounding residual is far beyond the float range.
+    v1, v2 = (1e300, 3e299), (2e-301j, 1e-300)
+    bound = bellcat_feasibility(BellcatQuery(v1, v2, 0.0)).max_alpha
+    result = bellcat_feasibility(BellcatQuery(v1, v2, 0.5 * bound))
+    assert result.feasible and result.kernel_residual == np.inf
 
 
 def test_bellcat_alternative_target_pattern():
