@@ -99,30 +99,10 @@ def max_comparison_scale(n: int) -> float:
 
 
 def search_unitary_explicit() -> np.ndarray:
-    """The explicit 6x6 unitary identifying one datum against two references.
-
-    Rows 1-2 carry the c = 1/sqrt(3) comparison map extended by
-    +-1/sqrt(6) ancilla columns, rows 3-5 regenerate the preserved
-    outputs, and row 0 routes the first dark port straight through.
-    It is an alternative unitary completion of the comparison map: it
-    differs from the canonical dilation only by the sign of row 0.
-    """
-    a = np.sqrt(1 / 3)
-    b = np.sqrt(1 / 6)
-    hi = (2 + np.sqrt(6)) / 6
-    lo = (2 - np.sqrt(6)) / 6
-    t = 1 / 3
-    return np.array(
-        [
-            [0, 0, 0, 1, 0, 0],
-            [a, -a, 0, 0, -b, b],
-            [a, 0, -a, 0, b, -b],
-            [t, t, t, 0, a, a],
-            [t, hi, lo, 0, -a, 0],
-            [t, lo, hi, 0, 0, -a],
-        ],
-        dtype=complex,
-    )
+    """The paper's 6x6 unitary for two references: dilate(comparison_map(2)), row 0 negated."""
+    u = dilate(comparison_map(2))[0]
+    u[0] = -u[0]
+    return u
 
 
 @dataclass(frozen=True)
@@ -132,8 +112,8 @@ class SearchSpec:
     ``data`` is the unknown amplitude, promised to match one of
     ``references``; ``c`` is the comparison scale (defaults to the
     maximum 1/sqrt(N+1)); ``mode`` picks the unitary completion of the
-    comparison map: ``DILATION`` (any N) or ``EXPLICIT`` (the 6x6
-    constant, N = 2 and c = 1/sqrt(3) only).  Two amplitudes a and b
+    comparison map: ``DILATION`` (any N) or ``EXPLICIT`` (the paper's 6x6
+    completion, N = 2 and c = 1/sqrt(3) only).  Two amplitudes a and b
     match when |a - b| <= 1e-12 * s, where s is the largest modulus among
     the datum and the references.  ``match`` is the 1-based index of the
     single reference matching ``data``, or None when none or several do.
@@ -294,7 +274,8 @@ def analytic_success_probability(spec: SearchSpec) -> float:
     p = 1.0
     for j, ref in enumerate(spec.references, start=1):
         if j != k:
-            p *= click_probability(spec.c * (spec.data - ref))
+            # Halved so the difference cannot overflow; halving is exact for normal numbers.
+            p *= click_probability(2 * (spec.c * (spec.data / 2 - ref / 2)))
     return p
 
 
@@ -317,6 +298,7 @@ BELL_TARGETS = {"B00": (-1, -1), "B10": (1, 1), "B01": (-1, 1), "B11": (1, -1)}
 
 _DEPENDENCE_TOL = 1e-12
 _FEASIBILITY_SLACK = 1e-12
+_RESIDUAL_LIMIT = 1e-9
 
 
 @dataclass(frozen=True)
@@ -334,10 +316,8 @@ class BellcatResult:
 
     ``contraction`` is the realizing map (None when infeasible),
     ``max_alpha`` the largest cat amplitude reachable from the same
-    inputs, and ``kernel_residual`` the explicit cross-check
-    max|K (v1 + v2)| / |alpha| (0 when alpha = 0), which must vanish for
-    any valid solution: the residual of the map for alpha = 1, which does
-    not grow with the inputs' scale, or inf past the float range.
+    inputs, and ``kernel_residual`` max(|K v1 - alpha t1|, |K v2 + alpha t1|)
+    / |alpha| for the returned K (0 when alpha = 0, nan when infeasible).
     """
 
     feasible: bool
@@ -359,6 +339,7 @@ def bellcat_feasibility(query: BellcatQuery, bell_state: str = "B00") -> Bellcat
     is sqrt(2) |alpha| |r|, so the largest reachable amplitude is
     |det[v1 v2]| / (sqrt(2) |v1 + v2|), or |v1| / sqrt(2) when v2 = -v1,
     and feasibility is |alpha| <= max_alpha * (1 + 1e-12).
+    Raises :class:`SynthesisError` when K misses an equation by over 1e-9 |alpha|.
     """
     if bell_state not in BELL_TARGETS:
         raise ValueError(f"unknown Bell-cat label {bell_state!r}")
@@ -409,11 +390,28 @@ def bellcat_feasibility(query: BellcatQuery, bell_state: str = "B00") -> Bellcat
     if abs(alpha) > max_alpha * (1.0 + _FEASIBILITY_SLACK):
         return BellcatResult(False, None, max_alpha, float("nan"))
     k = complex(math.ldexp(alpha.real, -e), math.ldexp(alpha.imag, -e)) * unit_k
-    # max|K (v1 + v2)| / |alpha| is the residual of the map for alpha = 1,
-    # 2**-e unit_k, on v1 + v2 = 2**max(e1, e2) s.
-    residual = float(np.max(np.abs(unit_k @ s))) if alpha else 0.0
-    try:
-        residual = math.ldexp(residual, max(e1, e2) - e)
-    except OverflowError:  # inputs whose scales differ by more than about 2**1000
+    # Both equations K v_j = alpha t_j, in exact integers: rounding K v_j in working
+    # precision would be as large as the residual of an ill-conditioned system.
+    rows = np.vstack([k, v, np.outer([alpha, -alpha], t1)]).view(float).tolist()
+    ratios = [[x.as_integer_ratio() for x in r] for r in rows]
+    bits = max(q.bit_length() for r in ratios for _, q in r) - 1  # parts: integers * 2**-bits
+    n = [[p << bits + 1 - q.bit_length() for p, q in r] for r in ratios]
+    worst = 0
+    for (c0, d0, c1, d1), target in zip(n[2:4], n[4:]):  # v_j and alpha t_j, parts interleaved
+        for (a0, b0, a1, b1), tr, ti in zip(n[:2], target[::2], target[1::2]):
+            re = a0 * c0 - b0 * d0 + a1 * c1 - b1 * d1 - (tr << bits)
+            im = a0 * d0 + b0 * c0 + a1 * d1 + b1 * c1 - (ti << bits)
+            worst = max(worst, re * re + im * im)
+    try:  # max |K v_j - alpha t_j| / |alpha| over the entries; 0 when alpha = 0
+        residual = math.sqrt(worst / max(n[4][0] ** 2 + n[4][1] ** 2 << 2 * bits, 1))
+    except OverflowError:
         residual = math.inf
+    if not residual <= _RESIDUAL_LIMIT:
+        # kappa([v1 v2]) from |v1|^2 + |v2|^2 and |det|, both on the scale of y.
+        f, d = float(np.linalg.norm(y)) ** 2, math.ldexp(2 * abs(det), -abs(e1 - e2))
+        kappa = (f + math.sqrt(max((f - d) * (f + d), 0.0))) / d if d else math.inf
+        raise SynthesisError(
+            f"no double-precision map meets both Bell-cat equations: residual {residual:.3e} "
+            f"above {_RESIDUAL_LIMIT:.0e}, condition number of [v1 v2] {kappa:.3e}"
+        )
     return BellcatResult(True, k, max_alpha, residual)

@@ -460,6 +460,10 @@ BAD_INPUT_FILES = {
         (SEARCH + ["--mode", "explicit", "--c", "0.1", "--out", "o.csv", "--clicks-out=k.csv"], 2),
         # The mode is checked when the spec is built, before the match.
         (["search", "--refs=0,0;1,0;2,0", "--data=5,0", "--mode=explicit"], 2),
+        # No double-precision map meets both Bell-cat equations for these.
+        (["bellcat", "--v1=1e100,0,0,2e100", "--v2=1,0,-1,0", "--alpha=0.35,0"], 2),
+        (["bellcat", "--v1=1e50,0,0,2e50", "--v2=1,0.3,-0.7,1", "--alpha=0.3,0"], 2),
+        (["bellcat", "--v1=1e200,0,0,0", "--v2=0,0,1e-200,0", "--alpha=3e-201,0"], 2),
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -618,6 +622,11 @@ def test_search_click_probability_does_not_overflow(capsys):
     captured = capsys.readouterr()
     assert "analytic_success=1.000000" in captured.err
     assert captured.out.splitlines()[1] == "0,1,3,1"
+    # data - ref overflows here, though every amplitude the search uses is finite.
+    assert main(["search", "--refs=1e308,0;-1e308,0", "--data=1e308,0", "--trials", "3"]) == 0
+    captured = capsys.readouterr()
+    assert "analytic_success=1.000000" in captured.err
+    assert captured.out.splitlines()[1:] == ["0,1,3,1", "1,1,3,1", "2,1,3,1"]
 
 
 def test_bellcat_independent_inputs_far_from_unit_scale(capsys):

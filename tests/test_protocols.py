@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -145,6 +148,35 @@ def test_search_unitary_matches_comparison_block_action():
     top = apply_matrix(u, starred)[:3]
     direct = apply_matrix(comparison_map(2), starred[:3])
     assert np.max(np.abs(top - direct)) <= 1e-15
+
+
+# The 6x6 completion as the paper prints it, for two references at c = 1/sqrt(3).
+_A, _B, _T = np.sqrt(1 / 3), np.sqrt(1 / 6), 1 / 3
+_HI, _LO = (2 + np.sqrt(6)) / 6, (2 - np.sqrt(6)) / 6
+PAPER_SEARCH_UNITARY = np.array(
+    [
+        [0, 0, 0, 1, 0, 0],
+        [_A, -_A, 0, 0, -_B, _B],
+        [_A, 0, -_A, 0, _B, -_B],
+        [_T, _T, _T, 0, _A, _A],
+        [_T, _HI, _LO, 0, -_A, 0],
+        [_T, _LO, _HI, 0, 0, -_A],
+    ],
+    dtype=complex,
+)
+
+
+def test_paper_search_unitary_is_the_derived_completion():
+    assert unitarity_defect(PAPER_SEARCH_UNITARY) <= 1e-15
+    assert max_abs(PAPER_SEARCH_UNITARY[1:3, :3] - comparison_map(2)[1:3]) <= 5e-16
+    assert max_abs(PAPER_SEARCH_UNITARY - search_unitary_explicit()) <= 5e-16
+
+
+def test_explicit_operator_is_the_dilation_with_row_0_negated():
+    explicit, dilation = (SearchSpec((0.3, 1.9), 0.3, mode=m) for m in (EXPLICIT, DILATION))
+    flipped = dilation.operator.copy()
+    flipped[0] = -flipped[0]
+    assert explicit.operator.tobytes() == flipped.tobytes()
 
 
 # --- search spec / trials ---------------------------------------------------
@@ -504,6 +536,13 @@ def test_analytic_success_unmatched_data_is_nan():
     assert np.isnan(analytic_success_probability(spec))
 
 
+def test_analytic_success_does_not_overflow_on_a_search_that_runs():
+    # data - ref overflows, but port 2 carries a finite 1.15e308.
+    spec = SearchSpec((1e308, -1e308), 1e308)
+    assert analytic_success_probability(spec) == 1.0
+    assert run_search(spec, seed=0, trials=3).identified.tolist() == [1, 1, 1]
+
+
 # --- synthesized search circuit ----------------------------------------------
 
 
@@ -612,13 +651,53 @@ def test_bellcat_kernel_residual_on_a_near_antiparallel_pair():
     assert np.max(np.abs(result.contraction @ (v1 + v2))) / 0.3 <= 1e-12
 
 
-def test_bellcat_kernel_residual_past_the_float_range_reads_inf():
-    # For alpha = 1 the map is about 1e300 and v1 + v2 about 1e300, so its
-    # rounding residual is far beyond the float range.
+def test_bellcat_rejects_a_map_past_the_float_range():
+    # The map's K v1 is about 1e299 where alpha t1 is about 3e-301: the
+    # residual of its equations is far beyond the float range.
     v1, v2 = (1e300, 3e299), (2e-301j, 1e-300)
     bound = bellcat_feasibility(BellcatQuery(v1, v2, 0.0)).max_alpha
-    result = bellcat_feasibility(BellcatQuery(v1, v2, 0.5 * bound))
-    assert result.feasible and result.kernel_residual == np.inf
+    with pytest.raises(SynthesisError, match="residual inf above 1e-09, condition number"):
+        bellcat_feasibility(BellcatQuery(v1, v2, 0.5 * bound))
+
+
+def _exact_residual(k, v1, v2, alpha, t1) -> Fraction:
+    """max(|K v1 - alpha t1|, |K v2 + alpha t1|)^2 / |alpha|^2 in rationals."""
+    parts = lambda z: (Fraction(z.real), Fraction(z.imag))  # noqa: E731
+    ar, ai = parts(complex(alpha))
+    worst = Fraction(0)
+    for v, sign in ((v1, 1), (v2, -1)):
+        for row, t in zip(k, t1):
+            re, im = -sign * t * ar, -sign * t * ai
+            for (p, q), (x, y) in zip(map(parts, row), map(parts, v)):
+                re, im = re + p * x - q * y, im + p * y + q * x
+            worst = max(worst, re * re + im * im)
+    return worst / (ar * ar + ai * ai)
+
+
+def test_bellcat_feasible_maps_meet_both_equations_at_every_scale_ratio():
+    # Past a ratio |v1| / |v2| of about 1e5 a double-precision map can miss
+    # its equations by more than 1e-9; such queries must be refused.
+    rng = np.random.default_rng(77)
+    feasible = refused = 0
+    for ratio in 10.0 ** np.r_[0:10, 10:301:10]:
+        for _ in range(30):
+            v1, v2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            v1 = v1 * ratio
+            label = rng.choice(sorted(BELL_TARGETS))
+            bound = bellcat_feasibility(BellcatQuery(v1, v2, 0.0), label).max_alpha
+            alpha = bound * rng.uniform(0.1, 1.0) * np.exp(2j * np.pi * rng.random())
+            try:
+                result = bellcat_feasibility(BellcatQuery(v1, v2, alpha), label)
+            except SynthesisError as exc:
+                assert "condition number of [v1 v2]" in str(exc)
+                assert ratio > 1.0
+                refused += 1
+                continue
+            exact = _exact_residual(result.contraction, v1, v2, alpha, BELL_TARGETS[label])
+            assert exact <= Fraction(1e-9) ** 2
+            assert result.kernel_residual == pytest.approx(math.sqrt(exact), rel=1e-12, abs=0)
+            feasible += 1
+    assert feasible > 100 and refused > 100
 
 
 def test_bellcat_alternative_target_pattern():
