@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from cohcirc import comparison_map, compile_circuit, dilate, reck_decompose
+from cohcirc import comparison_map, compile_circuit, dilate, reck_decompose, search_circuit
 
 
 def main():
@@ -26,12 +26,12 @@ def main():
     print(f"{'N':>3} {'modes':>6} {'full mesh':>10} {'sparse':>7} {'formula':>8} {'residual':>9}")
     failures = []
     for n in range(2, args.max_n + 1):
-        u, ports = dilate(comparison_map(n))
-        full = reck_decompose(u, full_mesh=True)
+        u = dilate(comparison_map(n))
+        full = search_circuit(n)
         sparse = reck_decompose(u)
         residual = np.max(np.abs(compile_circuit(sparse) - u))
         print(
-            f"{n:>3} {ports.width:>6} {full.beamsplitter_count:>10} "
+            f"{n:>3} {full.width:>6} {full.beamsplitter_count:>10} "
             f"{sparse.beamsplitter_count:>7} {(n + 1) * (2 * n + 1):>8} "
             f"{residual:>9.1e}"
         )

@@ -26,7 +26,6 @@ from .engine import (
 from .errors import ContractionError, DimensionError, SynthesisError
 from .linalg import is_unitary, random_unitary, spectral_norm
 from .protocols import (
-    BellcatQuery,
     BellcatResult,
     SearchOutcome,
     SearchSpec,
@@ -45,7 +44,6 @@ from .protocols import (
 )
 from .synthesis import (
     Circuit,
-    DilationPorts,
     compile_circuit,
     dilate,
     reck_decompose,

@@ -104,12 +104,10 @@ def cmd_synth(args) -> int:
     if matrix.shape[0] == matrix.shape[1] and linalg.is_unitary(matrix, args.tol):
         target, route = matrix, "unitary"
     else:
-        target, ports = dilate(matrix, args.tol)
-        route = "dilation"
+        target, route = dilate(matrix, args.tol), "dilation"
         print(
             f"dilated {matrix.shape[0]}x{matrix.shape[1]} contraction into a "
-            f"{ports.width}-mode unitary; signal outputs on ports "
-            f"{ports.output_ports[0] + 1}..{ports.output_ports[-1] + 1}"
+            f"{target.shape[0]}-mode unitary; signal outputs on ports 1..{matrix.shape[0]}"
         )
     circuit = reck_decompose(target, args.tol)
     residual = linalg.max_abs(compile_circuit(circuit) - target)
@@ -201,8 +199,7 @@ def cmd_qkd(args) -> int:
 
 
 def cmd_bellcat(args) -> int:
-    query = protocols.BellcatQuery(args.v1, args.v2, args.alpha)
-    result = protocols.bellcat_feasibility(query, bell_state=args.target)
+    result = protocols.bellcat_feasibility(args.v1, args.v2, args.alpha, args.target)
     if result.feasible:
         print("feasible")
         k = result.contraction
@@ -212,7 +209,7 @@ def cmd_bellcat(args) -> int:
         print(f"kernel_residual={result.kernel_residual:.3e}")
         return 0
     # Name the map's largest singular value when it is known and finite.
-    sigma = abs(query.alpha) / result.max_alpha if result.max_alpha > 0 else math.inf
+    sigma = abs(args.alpha) / result.max_alpha if result.max_alpha > 0 else math.inf
     if math.isfinite(sigma):
         print(f"infeasible (largest singular value {sigma:.12g} exceeds 1)")
     else:

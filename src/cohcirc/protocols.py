@@ -26,7 +26,7 @@ import numpy as np
 from .detection import click_probability, sample_clicks
 from .engine import apply_circuit, apply_matrix, pad_vacuum
 from .errors import ContractionError, DimensionError, NonFiniteError, SynthesisError
-from .synthesis import Circuit, DilationPorts, dilate, reck_decompose
+from .synthesis import Circuit, dilate, reck_decompose
 
 DILATION = "dilation"
 EXPLICIT = "explicit"
@@ -71,9 +71,8 @@ def attenuation_ladder(n: int, alpha: complex) -> np.ndarray:
     if n < 1:
         raise DimensionError("need at least one rung")
     damping = np.diag(1.0 / np.sqrt(np.arange(1, n + 1))).astype(complex)
-    u, ports = dilate(damping)
-    starred_in = pad_vacuum(np.full(n, complex(alpha)).conj(), ports.width)
-    return apply_matrix(u, starred_in)[: len(ports.output_ports)]
+    starred_in = pad_vacuum(np.full(n, complex(alpha)).conj(), 2 * n)
+    return apply_matrix(dilate(damping), starred_in)[:n]
 
 
 def comparison_map(n: int, c: float | None = None) -> np.ndarray:
@@ -100,7 +99,7 @@ def max_comparison_scale(n: int) -> float:
 
 def search_unitary_explicit() -> np.ndarray:
     """The paper's 6x6 unitary for two references: dilate(comparison_map(2)), row 0 negated."""
-    u = dilate(comparison_map(2))[0]
+    u = dilate(comparison_map(2))
     u[0] = -u[0]
     return u
 
@@ -206,7 +205,7 @@ class SearchOutcome(NamedTuple):
 
 @functools.lru_cache
 def _search_operator(n: int, c: float, mode: str) -> np.ndarray:
-    u = search_unitary_explicit() if mode == EXPLICIT else dilate(comparison_map(n, c))[0]
+    u = search_unitary_explicit() if mode == EXPLICIT else dilate(comparison_map(n, c))
     u.flags.writeable = False
     return u
 
@@ -279,15 +278,14 @@ def analytic_success_probability(spec: SearchSpec) -> float:
     return p
 
 
-def search_circuit(n: int, c: float | None = None) -> tuple[Circuit, DilationPorts]:
+def search_circuit(n: int, c: float | None = None) -> Circuit:
     """Physical mesh realizing the dilated comparison map for n references.
 
     The triangular mesh is kept complete (theta=0 couplers included), so
     the beamsplitter count is exactly m(m-1)/2 = (n+1)(2n+1) for the
     m = 2(n+1) modes.
     """
-    u, ports = dilate(comparison_map(n, c))
-    return reck_decompose(u, full_mesh=True), ports
+    return reck_decompose(dilate(comparison_map(n, c)), full_mesh=True)
 
 
 # --- Bell-cat feasibility -------------------------------------------------
@@ -299,15 +297,6 @@ BELL_TARGETS = {"B00": (-1, -1), "B10": (1, 1), "B01": (-1, 1), "B11": (1, -1)}
 _DEPENDENCE_TOL = 1e-12
 _FEASIBILITY_SLACK = 1e-12
 _RESIDUAL_LIMIT = 1e-9
-
-
-@dataclass(frozen=True)
-class BellcatQuery:
-    """Raw entangled-pair component amplitudes and the wanted cat amplitude."""
-
-    v1: tuple[complex, complex]
-    v2: tuple[complex, complex]
-    alpha: complex
 
 
 @dataclass(frozen=True)
@@ -326,11 +315,13 @@ class BellcatResult:
     kernel_residual: float
 
 
-def bellcat_feasibility(query: BellcatQuery, bell_state: str = "B00") -> BellcatResult:
+def bellcat_feasibility(v1, v2, alpha: complex, bell_state: str = "B00") -> BellcatResult:
     """Decide whether a contraction maps the raw pair onto a Bell-cat.
 
-    Looks for K with K v1 = alpha t1 and K v2 = alpha t2, where t1 is the
-    sign pattern ``BELL_TARGETS[bell_state]`` and t2 = -t1.  Every such K
+    ``v1`` and ``v2`` are the raw pair's two-mode component amplitudes and
+    ``alpha`` the wanted cat amplitude.  Looks for K with K v1 = alpha t1
+    and K v2 = alpha t2, where t1 is the sign pattern
+    ``BELL_TARGETS[bell_state]`` and t2 = -t1.  Every such K
     sends s = v1 + v2 to 0, so it is the rank-one map K = alpha t1 r with
     r v1 = 1 = -r v2.  Independent inputs fix r = (s_2, -s_1) / det[v1 v2].
     Dependent inputs (v2 = lambda*v1) need lambda*t1 = t2 = -t1: unless
@@ -343,11 +334,11 @@ def bellcat_feasibility(query: BellcatQuery, bell_state: str = "B00") -> Bellcat
     """
     if bell_state not in BELL_TARGETS:
         raise ValueError(f"unknown Bell-cat label {bell_state!r}")
-    v1 = np.asarray(query.v1, dtype=complex)
-    v2 = np.asarray(query.v2, dtype=complex)
+    v1 = np.asarray(v1, dtype=complex)
+    v2 = np.asarray(v2, dtype=complex)
     if v1.shape != (2,) or v2.shape != (2,):
         raise DimensionError("component vectors must have exactly two modes")
-    alpha = complex(query.alpha)
+    alpha = complex(alpha)
     v = np.array([v1, v2])
     parts = v.view(float).tolist()
     for name, values in (("v1", parts[0]), ("v2", parts[1]), ("alpha", (alpha.real, alpha.imag))):
@@ -392,18 +383,20 @@ def bellcat_feasibility(query: BellcatQuery, bell_state: str = "B00") -> Bellcat
     k = complex(math.ldexp(alpha.real, -e), math.ldexp(alpha.imag, -e)) * unit_k
     # Both equations K v_j = alpha t_j, in exact integers: rounding K v_j in working
     # precision would be as large as the residual of an ill-conditioned system.
-    rows = np.vstack([k, v, np.outer([alpha, -alpha], t1)]).view(float).tolist()
-    ratios = [[x.as_integer_ratio() for x in r] for r in rows]
-    bits = max(q.bit_length() for r in ratios for _, q in r) - 1  # parts: integers * 2**-bits
-    n = [[p << bits + 1 - q.bit_length() for p, q in r] for r in ratios]
+    # K's row 1 is exactly t1[0] t1[1] times its row 0, and so is each target
+    # entry, so row 0 and the targets +-alpha t1[0] give the residual.
+    entries = np.concatenate([k[0], v1, v2, [alpha * t1[0]]]).view(float).tolist()
+    ratios = [x.as_integer_ratio() for x in entries]
+    bits = max(q.bit_length() for _, q in ratios) - 1  # parts: integers * 2**-bits
+    a0, b0, a1, b1, *n, tr, ti = [p << bits + 1 - q.bit_length() for p, q in ratios]
+    tr, ti = tr << bits, ti << bits
     worst = 0
-    for (c0, d0, c1, d1), target in zip(n[2:4], n[4:]):  # v_j and alpha t_j, parts interleaved
-        for (a0, b0, a1, b1), tr, ti in zip(n[:2], target[::2], target[1::2]):
-            re = a0 * c0 - b0 * d0 + a1 * c1 - b1 * d1 - (tr << bits)
-            im = a0 * d0 + b0 * c0 + a1 * d1 + b1 * c1 - (ti << bits)
-            worst = max(worst, re * re + im * im)
+    for (c0, d0, c1, d1), sign in ((n[:4], 1), (n[4:], -1)):  # v_j, parts interleaved
+        re = a0 * c0 - b0 * d0 + a1 * c1 - b1 * d1 - sign * tr
+        im = a0 * d0 + b0 * c0 + a1 * d1 + b1 * c1 - sign * ti
+        worst = max(worst, re * re + im * im)
     try:  # max |K v_j - alpha t_j| / |alpha| over the entries; 0 when alpha = 0
-        residual = math.sqrt(worst / max(n[4][0] ** 2 + n[4][1] ** 2 << 2 * bits, 1))
+        residual = math.sqrt(worst / max(tr * tr + ti * ti, 1))
     except OverflowError:
         residual = math.inf
     if not residual <= _RESIDUAL_LIMIT:

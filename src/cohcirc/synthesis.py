@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -254,32 +253,21 @@ def reck_decompose(u, tol: float = linalg.UNITARY_TOL, full_mesh: bool = False) 
     return Circuit(n, columns=(modes[emit], coupler[emit], theta[emit], phi[emit]))
 
 
-@dataclass(frozen=True)
-class DilationPorts:
-    """Bookkeeping for a dilated contraction: which ports carry signal.
-
-    Inputs enter ports ``input_ports`` (the rest must be dark, i.e.
-    vacuum); the contracted outputs appear on ``output_ports``.
-    """
-
-    width: int
-    input_ports: tuple[int, ...]
-    output_ports: tuple[int, ...]
-
-
-def dilate(k, tol: float = linalg.UNITARY_TOL) -> tuple[np.ndarray, DilationPorts]:
-    """Embed a contraction K as the top-left block of a unitary.
+def dilate(k, tol: float = linalg.UNITARY_TOL) -> np.ndarray:
+    """Embed an M x N contraction K as the top-left block of a unitary.
 
     Returns the 2s x 2s unitary
 
         [[K, -(I - K K^dag)^{1/2}], [(I - K^dag K)^{1/2}, K^dag]]
 
     with s = max(M, N) after a rectangular K is padded square (K in the
-    upper-left, ones on the remaining diagonal).  One SVD of the padded
-    matrix gives both the complement roots and the contraction check.
-    Raises :class:`ContractionError` when K's largest singular value
-    exceeds 1 + tol, or when K is a contraction but identity padding that
-    overlaps its support pushes the padded matrix's past that bound.
+    upper-left, ones on the remaining diagonal).  The N inputs enter ports
+    0..N-1, every later port is dark (vacuum), and K's M outputs leave on
+    ports 0..M-1.  One SVD of the padded matrix gives both the complement
+    roots and the contraction check.  Raises :class:`ContractionError`
+    when K's largest singular value exceeds 1 + tol, or when K is a
+    contraction but identity padding that overlaps its support pushes the
+    padded matrix's past that bound.
     """
     kk = linalg.as_matrix(k)
     m_out, n_in = kk.shape
@@ -307,10 +295,4 @@ def dilate(k, tol: float = linalg.UNITARY_TOL) -> tuple[np.ndarray, DilationPort
     r = np.sqrt(np.clip(1.0 - s**2, 0.0, None))
     out_complement = (v * r) @ v.conj().T
     in_complement = (wh.conj().T * r) @ wh
-    u = np.block([[padded, -out_complement], [in_complement, padded.conj().T]])
-    ports = DilationPorts(
-        width=2 * size,
-        input_ports=tuple(range(n_in)),
-        output_ports=tuple(range(m_out)),
-    )
-    return u, ports
+    return np.block([[padded, -out_complement], [in_complement, padded.conj().T]])

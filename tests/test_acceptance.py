@@ -13,7 +13,6 @@ from cohcirc import (
     SearchSpec,
     apply_circuit,
     bellcat_feasibility,
-    BellcatQuery,
     comparison_map,
     compile_circuit,
     dilate,
@@ -99,7 +98,7 @@ def test_criterion_05_dilation():
         size = int(rng.integers(1, 9))
         sigma = 1.0 if i < 5 else 0.1 + 0.9 * rng.random()
         k = random_contraction(rng, size, sigma)
-        u, _ = dilate(k)
+        u = dilate(k)
         worst_defect = max(worst_defect, unitarity_defect(u))
         worst_corner = max(worst_corner, max_abs(u[:size, :size] - k))
     report(
@@ -112,7 +111,7 @@ def test_criterion_05_dilation():
 def test_criterion_06_element_count_formula():
     counts = {}
     for n in (2, 3, 4, 5):
-        circuit, _ = search_circuit(n)
+        circuit = search_circuit(n)
         counts[n] = circuit.beamsplitter_count
     expected = {n: (n + 1) * (2 * n + 1) for n in counts}
     report(
@@ -233,7 +232,7 @@ def test_criterion_10_bellcat_checker_vs_oracle():
         else:
             v2 = tuple(rng.standard_normal(2) + 1j * rng.standard_normal(2))
         alpha = 0.0 if roll > 0.95 else complex(*(0.8 * rng.standard_normal(2)))
-        result = bellcat_feasibility(BellcatQuery(v1, v2, alpha))
+        result = bellcat_feasibility(v1, v2, alpha)
         if result.feasible != _oracle_bellcat(v1, v2, alpha):
             mismatches += 1
         if result.feasible:

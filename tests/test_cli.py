@@ -419,53 +419,68 @@ BAD_INPUT_FILES = {
 }
 
 
-@pytest.mark.parametrize(
-    "argv, code",
-    [
-        (BELLCAT + ["--alpha", "nan,0"], 1),
-        (["bellcat", "--v1", "nan,0,0,0", "--v2", "0,0,1,0", "--alpha", "0.1,0"], 1),
-        (["bellcat", "--v1", "1,0,0,0", "--v2=0,0,-inf,0", "--alpha", "0.1,0"], 1),
-        (["bellcat", "--v1=1.7e308,1.7e308,0,0", "--v2=0,0,1,0", "--alpha=1,0"], 2),
-        (["qkd", "--n", "4", "--alpha", "nan,0"], 1),
-        (["qkd", "--n", "4", "--alpha", "1e308,0"], 2),
-        (["search", "--refs", "0,0;1,0", "--data", "inf,0"], 1),
-        (["search", "--refs", "0,0;nan,1", "--data", "0,0"], 1),
-        (SEARCH + ["--seed=-5"], 1),
-        (SEARCH + ["--seed", "1.5"], 1),
-        (SEARCH + ["--trials=-3"], 1),
-        (SEARCH + ["--trials", "many"], 1),
-        (SEARCH + ["--c", "nan"], 1),
-        (SEARCH + ["--c", "inf"], 1),
-        (SEARCH + ["--c", "0"], 1),
-        (SEARCH + ["--c=-0.1"], 1),
-        (["search", "--refs", "0,0;1,0;2,0", "--data", "0,0", "--mode", "explicit"], 2),
-        (SEARCH + ["--mode", "explicit", "--c", "0.1"], 2),
-        (SEARCH + ["--trials", "0"], 1),
-        (SEARCH + [f"--seed={2**64 - 2}", "--trials=3"], 1),
-        (["search", "--refs=1e308,1e308;1e308,1.7e308", "--data=1e308,1.7e308"], 2),
-        (["run", "splitter.txt", "huge_input.txt"], 2),
-        (["run", "splitter.txt", "huge_output.txt"], 2),
-        (["synth", "huge_matrix.txt", "out.txt"], 2),
-        (["search", "--refs", "0,0;3,0", "--data=0.2,0", "--trials=1000", "--out=o.csv"], 1),
-        (["search", "--refs=0,0;1,0;2,0", "--data=0,0", "--mode=explicit", "--out", "x.csv"], 2),
-        (["search", "--refs", "0,0;0,0", "--data", "0,0"], 1),
-        (["qkd", "--n", "0", "--alpha", "1,0"], 1),
-        (["qkd", "--n=-3", "--alpha", "1,0"], 1),
-        (SEARCH + ["--n", "0"], 1),
-        (["synth", "empty_matrix.txt", "out.txt"], 1),
-        (["synth", "no_rows_matrix.txt", "out.txt"], 1),
-        (["run", "splitter.txt", "no_modes.txt"], 1),
-        (["run", "splitter.txt", "three_numbers.txt"], 1),
-        (["search", "--refs=0,0;1,0;2,0", "--data=0,0", "--mode=explicit", "--clicks-out", "k.csv"], 2),
-        (SEARCH + ["--mode", "explicit", "--c", "0.1", "--out", "o.csv", "--clicks-out=k.csv"], 2),
-        # The mode is checked when the spec is built, before the match.
-        (["search", "--refs=0,0;1,0;2,0", "--data=5,0", "--mode=explicit"], 2),
-        # No double-precision map meets both Bell-cat equations for these.
-        (["bellcat", "--v1=1e100,0,0,2e100", "--v2=1,0,-1,0", "--alpha=0.35,0"], 2),
-        (["bellcat", "--v1=1e50,0,0,2e50", "--v2=1,0.3,-0.7,1", "--alpha=0.3,0"], 2),
-        (["bellcat", "--v1=1e200,0,0,0", "--v2=0,0,1e-200,0", "--alpha=3e-201,0"], 2),
-    ],
-)
+# Rejected inputs by test id.  The ids are the names these cases were first
+# collected under; a new row takes a new, descriptive id, so adding a row
+# anywhere renames no other case.
+BAD_INPUTS = {
+    "argv0-1": (BELLCAT + ["--alpha", "nan,0"], 1),
+    "argv1-1": (["bellcat", "--v1", "nan,0,0,0", "--v2", "0,0,1,0", "--alpha", "0.1,0"], 1),
+    "argv2-1": (["bellcat", "--v1", "1,0,0,0", "--v2=0,0,-inf,0", "--alpha", "0.1,0"], 1),
+    "argv3-2": (["bellcat", "--v1=1.7e308,1.7e308,0,0", "--v2=0,0,1,0", "--alpha=1,0"], 2),
+    "argv4-1": (["qkd", "--n", "4", "--alpha", "nan,0"], 1),
+    "argv5-2": (["qkd", "--n", "4", "--alpha", "1e308,0"], 2),
+    "argv6-1": (["search", "--refs", "0,0;1,0", "--data", "inf,0"], 1),
+    "argv7-1": (["search", "--refs", "0,0;nan,1", "--data", "0,0"], 1),
+    "argv8-1": (SEARCH + ["--seed=-5"], 1),
+    "argv9-1": (SEARCH + ["--seed", "1.5"], 1),
+    "argv10-1": (SEARCH + ["--trials=-3"], 1),
+    "argv11-1": (SEARCH + ["--trials", "many"], 1),
+    "argv12-1": (SEARCH + ["--c", "nan"], 1),
+    "argv13-1": (SEARCH + ["--c", "inf"], 1),
+    "argv14-1": (SEARCH + ["--c", "0"], 1),
+    "argv15-1": (SEARCH + ["--c=-0.1"], 1),
+    "argv16-2": (["search", "--refs", "0,0;1,0;2,0", "--data", "0,0", "--mode", "explicit"], 2),
+    "argv17-2": (SEARCH + ["--mode", "explicit", "--c", "0.1"], 2),
+    "argv18-1": (SEARCH + ["--trials", "0"], 1),
+    "argv19-1": (SEARCH + [f"--seed={2**64 - 2}", "--trials=3"], 1),
+    "argv20-2": (["search", "--refs=1e308,1e308;1e308,1.7e308", "--data=1e308,1.7e308"], 2),
+    "argv21-2": (["run", "splitter.txt", "huge_input.txt"], 2),
+    "argv22-2": (["run", "splitter.txt", "huge_output.txt"], 2),
+    "argv23-2": (["synth", "huge_matrix.txt", "out.txt"], 2),
+    "argv24-1": (
+        ["search", "--refs", "0,0;3,0", "--data=0.2,0", "--trials=1000", "--out=o.csv"],
+        1,
+    ),
+    "argv25-2": (
+        ["search", "--refs=0,0;1,0;2,0", "--data=0,0", "--mode=explicit", "--out", "x.csv"],
+        2,
+    ),
+    "argv26-1": (["search", "--refs", "0,0;0,0", "--data", "0,0"], 1),
+    "argv27-1": (["qkd", "--n", "0", "--alpha", "1,0"], 1),
+    "argv28-1": (["qkd", "--n=-3", "--alpha", "1,0"], 1),
+    "argv29-1": (SEARCH + ["--n", "0"], 1),
+    "argv30-1": (["synth", "empty_matrix.txt", "out.txt"], 1),
+    "argv31-1": (["synth", "no_rows_matrix.txt", "out.txt"], 1),
+    "argv32-1": (["run", "splitter.txt", "no_modes.txt"], 1),
+    "argv33-1": (["run", "splitter.txt", "three_numbers.txt"], 1),
+    "argv34-2": (
+        ["search", "--refs=0,0;1,0;2,0", "--data=0,0", "--mode=explicit", "--clicks-out", "k.csv"],
+        2,
+    ),
+    "argv35-2": (
+        SEARCH + ["--mode", "explicit", "--c", "0.1", "--out", "o.csv", "--clicks-out=k.csv"],
+        2,
+    ),
+    # The mode is checked when the spec is built, before the match.
+    "argv36-2": (["search", "--refs=0,0;1,0;2,0", "--data=5,0", "--mode=explicit"], 2),
+    # No double-precision map meets both Bell-cat equations for these.
+    "argv37-2": (["bellcat", "--v1=1e100,0,0,2e100", "--v2=1,0,-1,0", "--alpha=0.35,0"], 2),
+    "argv38-2": (["bellcat", "--v1=1e50,0,0,2e50", "--v2=1,0.3,-0.7,1", "--alpha=0.3,0"], 2),
+    "argv39-2": (["bellcat", "--v1=1e200,0,0,0", "--v2=0,0,1e-200,0", "--alpha=3e-201,0"], 2),
+}
+
+
+@pytest.mark.parametrize("argv, code", list(BAD_INPUTS.values()), ids=list(BAD_INPUTS))
 @pytest.mark.filterwarnings("error")
 def test_bad_input_exits_with_one_error_line(argv, code, tmp_path, monkeypatch, capsys):
     for name, text in BAD_INPUT_FILES.items():
@@ -492,6 +507,12 @@ def test_bad_input_exits_with_one_error_line(argv, code, tmp_path, monkeypatch, 
             ["run", "splitter.txt", "three_numbers.txt"],
             "amplitudes: expected 're im', got '1 2 3'",
         ),
+    ],
+    ids=[
+        "argv0-matrix: empty input",
+        "argv1-matrix: invalid shape 0x2",
+        "argv2-amplitudes: invalid width 0",
+        "argv3-amplitudes: expected 're im', got '1 2 3'",
     ],
 )
 def test_malformed_file_error_lines_are_pinned(argv, line, tmp_path, monkeypatch, capsys):

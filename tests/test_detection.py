@@ -101,7 +101,11 @@ def test_sample_clicks_rejects_bad_port():
         sample_clicks([1.0], [1], seed=0)
 
 
-@pytest.mark.parametrize("ports", [[0.5], [1.0, 1.0], [1.9], ["1"], [None]])
+@pytest.mark.parametrize(
+    "ports",
+    [[0.5], [1.0, 1.0], [1.9], ["1"], [None]],
+    ids=["ports0", "ports1", "ports2", "ports3", "ports4"],
+)
 def test_sample_clicks_rejects_non_integer_ports(ports):
     with pytest.raises(DimensionError, match="integer"):
         sample_clicks([1.0, 1.0], ports, seed=0)

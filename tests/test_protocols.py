@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from cohcirc import (
-    BellcatQuery,
     SearchOutcome,
     SearchSpec,
     analytic_success_probability,
@@ -114,9 +113,8 @@ def test_comparison_map_needs_two_references():
 
 def test_comparison_map_dilates_to_six_modes():
     k = comparison_map(2)
-    u, ports = dilate(k)
+    u = dilate(k)
     assert u.shape == (6, 6)
-    assert ports.width == 6
     assert max_abs(u[:3, :3] - k) == 0.0
     assert unitarity_defect(u) <= 1e-10
 
@@ -307,7 +305,7 @@ def test_run_search_three_references():
 def test_run_search_modes_share_click_statistics():
     spec = SearchSpec((0.3, 1.9), 0.3)
     u_explicit = search_unitary_explicit()
-    u_dilated, _ = dilate(comparison_map(2))
+    u_dilated = dilate(comparison_map(2))
     starred = np.conj(np.array([0.3, 0.3, 1.9, 0, 0, 0]))
     comparison_explicit = apply_matrix(u_explicit, starred)[1:3]
     comparison_dilated = apply_matrix(u_dilated, starred)[1:3]
@@ -328,6 +326,7 @@ def test_run_search_modes_share_click_statistics():
         ((0.0, 2.0, 2.0j, -1.0 + 1.0j), 2.0j, DILATION),
         ((0.0, 0.8), 0.4, DILATION),
     ],
+    ids=["refs0-0.0-dilation", "refs1-1.9j-explicit", "refs2-2j-dilation", "refs3-0.4-dilation"],
 )
 def test_run_search_batch_equals_single_trials(refs, data, mode):
     spec = SearchSpec(refs, data, mode=mode)
@@ -473,7 +472,7 @@ def test_restore_through_inverted_physical_circuit():
     from cohcirc import apply_circuit, pad_vacuum, reck_decompose
 
     spec = SearchSpec((1.0 + 0.5j, -2.0), 1.0 + 0.5j)
-    circuit, _ = search_circuit(2)
+    circuit = search_circuit(2)
     starred_in = pad_vacuum(np.conj([spec.data, *spec.references]), 6)
     outcome = run_search(spec, seed=11)
     fresh = apply_circuit(circuit, starred_in)
@@ -548,14 +547,14 @@ def test_analytic_success_does_not_overflow_on_a_search_that_runs():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_search_circuit_element_count(n):
-    circuit, ports = search_circuit(n)
-    assert ports.width == 2 * (n + 1)
+    circuit = search_circuit(n)
+    assert circuit.width == 2 * (n + 1)
     assert circuit.beamsplitter_count == (n + 1) * (2 * n + 1)
 
 
 def test_search_circuit_compiles_to_dilated_unitary():
-    circuit, _ = search_circuit(2)
-    u, _ = dilate(comparison_map(2))
+    circuit = search_circuit(2)
+    u = dilate(comparison_map(2))
     assert max_abs(compile_circuit(circuit) - u) <= 1e-9
 
 
@@ -564,9 +563,7 @@ def test_search_circuit_compiles_to_dilated_unitary():
 
 def test_bellcat_identity_pattern_is_feasible():
     alpha = 0.8
-    result = bellcat_feasibility(
-        BellcatQuery((-alpha, -alpha), (alpha, alpha), alpha)
-    )
+    result = bellcat_feasibility((-alpha, -alpha), (alpha, alpha), alpha)
     assert result.feasible
     k = result.contraction
     assert np.allclose(k @ np.array([-alpha, -alpha]), [-alpha, -alpha], atol=1e-12)
@@ -575,12 +572,12 @@ def test_bellcat_identity_pattern_is_feasible():
 
 
 def test_bellcat_independent_unit_vectors():
-    result = bellcat_feasibility(BellcatQuery((1.0, 0.0), (0.0, 1.0), 0.4))
+    result = bellcat_feasibility((1.0, 0.0), (0.0, 1.0), 0.4)
     assert result.feasible
     assert np.allclose(result.contraction, 0.4 * np.array([[-1, 1], [-1, 1]]))
     assert result.max_alpha == pytest.approx(0.5)
 
-    too_big = bellcat_feasibility(BellcatQuery((1.0, 0.0), (0.0, 1.0), 0.6))
+    too_big = bellcat_feasibility((1.0, 0.0), (0.0, 1.0), 0.6)
     assert not too_big.feasible
     assert too_big.contraction is None
     assert too_big.max_alpha == pytest.approx(0.5)
@@ -588,10 +585,10 @@ def test_bellcat_independent_unit_vectors():
 
 def test_bellcat_dependent_requires_opposite_vectors():
     v = (1 + 1j, 2.0)
-    same = bellcat_feasibility(BellcatQuery(v, v, 0.5))
+    same = bellcat_feasibility(v, v, 0.5)
     assert not same.feasible
 
-    opposite = bellcat_feasibility(BellcatQuery(v, (-v[0], -v[1]), 0.5))
+    opposite = bellcat_feasibility(v, (-v[0], -v[1]), 0.5)
     assert opposite.feasible
     assert opposite.max_alpha == pytest.approx(np.sqrt(6) / np.sqrt(2))
     assert opposite.kernel_residual <= 1e-10
@@ -599,17 +596,17 @@ def test_bellcat_dependent_requires_opposite_vectors():
 
 def test_bellcat_dependent_amplitude_bound():
     v = (1.0, 0.0)  # |v| = 1, bound sqrt(2)|alpha| <= 1
-    ok = bellcat_feasibility(BellcatQuery(v, (-1.0, 0.0), 0.7))
+    ok = bellcat_feasibility(v, (-1.0, 0.0), 0.7)
     assert ok.feasible
-    too_big = bellcat_feasibility(BellcatQuery(v, (-1.0, 0.0), 0.71))
+    too_big = bellcat_feasibility(v, (-1.0, 0.0), 0.71)
     assert not too_big.feasible
 
 
 def test_bellcat_zero_inputs():
-    assert not bellcat_feasibility(BellcatQuery((0, 0), (0, 0), 1.0)).feasible
-    trivial = bellcat_feasibility(BellcatQuery((0, 0), (0, 0), 0.0))
+    assert not bellcat_feasibility((0, 0), (0, 0), 1.0).feasible
+    trivial = bellcat_feasibility((0, 0), (0, 0), 0.0)
     assert trivial.feasible
-    assert not bellcat_feasibility(BellcatQuery((0, 0), (1.0, 0), 0.3)).feasible
+    assert not bellcat_feasibility((0, 0), (1.0, 0), 0.3).feasible
 
 
 def test_bellcat_kernel_condition_on_random_feasible_queries():
@@ -618,9 +615,7 @@ def test_bellcat_kernel_condition_on_random_feasible_queries():
     for _ in range(200):
         v1 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         v2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        result = bellcat_feasibility(
-            BellcatQuery(tuple(v1), tuple(v2), 0.3 * rng.random())
-        )
+        result = bellcat_feasibility(tuple(v1), tuple(v2), 0.3 * rng.random())
         if result.feasible:
             found += 1
             assert result.kernel_residual <= 1e-10
@@ -634,10 +629,10 @@ def test_bellcat_kernel_condition_on_random_feasible_queries():
 def test_bellcat_kernel_residual_is_scale_free(scale, v2):
     v1 = np.array([1.0, 0.7j]) * scale
     v2 = np.array(v2) * scale
-    bound = bellcat_feasibility(BellcatQuery(tuple(v1), tuple(v2), 0.0))
+    bound = bellcat_feasibility(tuple(v1), tuple(v2), 0.0)
     assert bound.kernel_residual == 0.0
     alpha = 0.6 * bound.max_alpha * np.exp(0.4j)
-    result = bellcat_feasibility(BellcatQuery(tuple(v1), tuple(v2), alpha))
+    result = bellcat_feasibility(tuple(v1), tuple(v2), alpha)
     assert result.feasible and result.kernel_residual <= 1e-14
     target = alpha * np.array(BELL_TARGETS["B00"])
     assert np.max(np.abs(result.contraction @ v1 - target)) <= 1e-14 * abs(alpha)
@@ -646,7 +641,7 @@ def test_bellcat_kernel_residual_is_scale_free(scale, v2):
 def test_bellcat_kernel_residual_on_a_near_antiparallel_pair():
     v1 = np.array([1.0, 0.5j])
     v2 = -v1 + 1e-13 * np.array([1.0, 1.0])
-    result = bellcat_feasibility(BellcatQuery(tuple(v1), tuple(v2), 0.3))
+    result = bellcat_feasibility(tuple(v1), tuple(v2), 0.3)
     assert result.feasible and result.kernel_residual <= 1e-12
     assert np.max(np.abs(result.contraction @ (v1 + v2))) / 0.3 <= 1e-12
 
@@ -655,9 +650,9 @@ def test_bellcat_rejects_a_map_past_the_float_range():
     # The map's K v1 is about 1e299 where alpha t1 is about 3e-301: the
     # residual of its equations is far beyond the float range.
     v1, v2 = (1e300, 3e299), (2e-301j, 1e-300)
-    bound = bellcat_feasibility(BellcatQuery(v1, v2, 0.0)).max_alpha
+    bound = bellcat_feasibility(v1, v2, 0.0).max_alpha
     with pytest.raises(SynthesisError, match="residual inf above 1e-09, condition number"):
-        bellcat_feasibility(BellcatQuery(v1, v2, 0.5 * bound))
+        bellcat_feasibility(v1, v2, 0.5 * bound)
 
 
 def _exact_residual(k, v1, v2, alpha, t1) -> Fraction:
@@ -684,16 +679,19 @@ def test_bellcat_feasible_maps_meet_both_equations_at_every_scale_ratio():
             v1, v2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             v1 = v1 * ratio
             label = rng.choice(sorted(BELL_TARGETS))
-            bound = bellcat_feasibility(BellcatQuery(v1, v2, 0.0), label).max_alpha
+            bound = bellcat_feasibility(v1, v2, 0.0, label).max_alpha
             alpha = bound * rng.uniform(0.1, 1.0) * np.exp(2j * np.pi * rng.random())
             try:
-                result = bellcat_feasibility(BellcatQuery(v1, v2, alpha), label)
+                result = bellcat_feasibility(v1, v2, alpha, label)
             except SynthesisError as exc:
                 assert "condition number of [v1 v2]" in str(exc)
                 assert ratio > 1.0
                 refused += 1
                 continue
-            exact = _exact_residual(result.contraction, v1, v2, alpha, BELL_TARGETS[label])
+            k, t1 = result.contraction, BELL_TARGETS[label]
+            # Row 1 of K = alpha t1 r is exactly t1[0] t1[1] times row 0.
+            assert np.array_equal(k[1], t1[0] * t1[1] * k[0])
+            exact = _exact_residual(k, v1, v2, alpha, t1)
             assert exact <= Fraction(1e-9) ** 2
             assert result.kernel_residual == pytest.approx(math.sqrt(exact), rel=1e-12, abs=0)
             feasible += 1
@@ -702,9 +700,7 @@ def test_bellcat_feasible_maps_meet_both_equations_at_every_scale_ratio():
 
 def test_bellcat_alternative_target_pattern():
     alpha = 0.3
-    result = bellcat_feasibility(
-        BellcatQuery((1.0, 0.0), (0.0, 1.0), alpha), bell_state="B01"
-    )
+    result = bellcat_feasibility((1.0, 0.0), (0.0, 1.0), alpha, bell_state="B01")
     assert result.feasible
     k = result.contraction
     assert np.allclose(k @ np.array([1.0, 0.0]), [-alpha, alpha], atol=1e-12)
@@ -713,7 +709,7 @@ def test_bellcat_alternative_target_pattern():
 
 def test_bellcat_unknown_target_rejected():
     with pytest.raises(ValueError):
-        bellcat_feasibility(BellcatQuery((1, 0), (0, 1), 0.1), bell_state="B22")
+        bellcat_feasibility((1, 0), (0, 1), 0.1, bell_state="B22")
 
 
 @pytest.mark.parametrize(
@@ -724,24 +720,25 @@ def test_bellcat_unknown_target_rejected():
         ((1, 0), (0, 1), complex(0, np.nan)),
         ((1.7e308 + 1.7e308j, 0), (0, 1), 0.1),  # |v1| overflows
     ],
+    ids=["v10-v20-0.1", "v11-v21-0.1", "v12-v22-nanj", "v13-v23-0.1"],
 )
 def test_bellcat_rejects_non_finite_inputs(v1, v2, alpha):
     with pytest.raises(NonFiniteError):
-        bellcat_feasibility(BellcatQuery(v1, v2, alpha))
+        bellcat_feasibility(v1, v2, alpha)
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1.0, 1e150, 1e300])
 def test_bellcat_is_scale_covariant(scale):
     # Scaling both inputs by s scales max_alpha by s and K by 1/s.
     v1, v2 = np.array([1.0, 0.5j]), np.array([-0.25, 2.0])
-    unit = bellcat_feasibility(BellcatQuery(v1, v2, 0.1))
-    scaled = bellcat_feasibility(BellcatQuery(scale * v1, scale * v2, 0.1))
+    unit = bellcat_feasibility(v1, v2, 0.1)
+    scaled = bellcat_feasibility(scale * v1, scale * v2, 0.1)
     assert scaled.max_alpha == pytest.approx(unit.max_alpha * scale, rel=1e-12)
     assert scaled.feasible == (0.1 <= unit.max_alpha * scale)
     if scaled.feasible:
         assert np.allclose(scaled.contraction * scale, unit.contraction, rtol=1e-12, atol=0)
-    anti_unit = bellcat_feasibility(BellcatQuery(v1, -v1, 0.1))
-    anti = bellcat_feasibility(BellcatQuery(scale * v1, -scale * v1, 0.1 * scale))
+    anti_unit = bellcat_feasibility(v1, -v1, 0.1)
+    anti = bellcat_feasibility(scale * v1, -scale * v1, 0.1 * scale)
     assert anti.feasible
     assert anti.max_alpha == pytest.approx(scale * anti_unit.max_alpha, rel=1e-12)
     assert np.allclose(anti.contraction, anti_unit.contraction, rtol=1e-12, atol=0)
@@ -751,7 +748,7 @@ def test_bellcat_maps_onto_opposite_targets_for_every_label():
     rng = np.random.default_rng(8)
     v1, v2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     for label, t1 in BELL_TARGETS.items():
-        result = bellcat_feasibility(BellcatQuery(v1, v2, 0.1 + 0.05j), bell_state=label)
+        result = bellcat_feasibility(v1, v2, 0.1 + 0.05j, bell_state=label)
         assert result.feasible
         target = (0.1 + 0.05j) * np.array(t1)
         assert np.allclose(result.contraction @ v1, target, atol=1e-12)
@@ -765,7 +762,7 @@ def test_bellcat_max_alpha_is_the_closed_form():
         v1, v2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         det = v1[0] * v2[1] - v1[1] * v2[0]
         expected = abs(det) / (np.sqrt(2) * np.linalg.norm(v1 + v2))
-        result = bellcat_feasibility(BellcatQuery(v1, v2, 0.0))
+        result = bellcat_feasibility(v1, v2, 0.0)
         assert result.max_alpha == pytest.approx(expected, rel=1e-12)
 
 
@@ -778,16 +775,16 @@ def test_bellcat_takes_no_inverse_and_no_svd(monkeypatch):
         record = lambda *a, _f=wrapped, _n=name, **kw: calls.append(_n) or _f(*a, **kw)
         monkeypatch.setattr(np.linalg, name, record)
     queries = [
-        BellcatQuery((1.0, 0.5j), (-0.25, 2.0), 0.3),  # independent, feasible
-        BellcatQuery((1.0, 0.5j), (-0.25, 2.0), 3.0),  # independent, infeasible
-        BellcatQuery((1 + 1j, 2.0), (-1 - 1j, -2.0), 0.5),  # anti-parallel
-        BellcatQuery((1.0, 2.0), (2.0, 4.0), 0.0),  # dependent, zero map
+        ((1.0, 0.5j), (-0.25, 2.0), 0.3),  # independent, feasible
+        ((1.0, 0.5j), (-0.25, 2.0), 3.0),  # independent, infeasible
+        ((1 + 1j, 2.0), (-1 - 1j, -2.0), 0.5),  # anti-parallel
+        ((1.0, 2.0), (2.0, 4.0), 0.0),  # dependent, zero map
     ]
     for query in queries:
-        bellcat_feasibility(query)
+        bellcat_feasibility(*query)
     assert calls == []
 
 
 def test_bellcat_rejects_three_mode_vectors():
     with pytest.raises(DimensionError):
-        bellcat_feasibility(BellcatQuery((1.0, 0.0, 0.0), (0.0, 1.0), 0.1))
+        bellcat_feasibility((1.0, 0.0, 0.0), (0.0, 1.0), 0.1)

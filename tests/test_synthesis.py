@@ -5,15 +5,17 @@ from cohcirc import (
     Beamsplitter,
     Circuit,
     PhaseShifter,
+    apply_matrix,
     beamsplitter_matrix,
     compile_circuit,
     dilate,
+    pad_vacuum,
     random_unitary,
     reck_decompose,
 )
 from cohcirc.errors import ContractionError, DimensionError, NonFiniteError, SynthesisError
 from cohcirc.linalg import max_abs, unitarity_defect
-from conftest import psd_root, random_circuit, random_contraction
+from conftest import psd_root, random_amplitudes, random_circuit, random_contraction
 
 
 def test_compile_empty_circuit():
@@ -145,14 +147,14 @@ def test_reck_full_mesh_pads_with_idle_couplers():
 
 
 def test_dilate_isometry_scalar():
-    u, ports = dilate(np.array([[1.0]]))
+    u = dilate(np.array([[1.0]]))
+    assert u.shape == (2, 2)
     assert np.allclose(u, np.eye(2))
-    assert ports.width == 2
 
 
 def test_dilate_scalar_contraction():
     c = 0.6
-    u, _ = dilate(np.array([[c]]))
+    u = dilate(np.array([[c]]))
     s = np.sqrt(1 - c**2)
     assert np.allclose(u, [[c, -s], [s, c]])
 
@@ -160,7 +162,7 @@ def test_dilate_scalar_contraction():
 def test_dilate_block_structure():
     rng = np.random.default_rng(26)
     k = random_contraction(rng, 4, 0.8)
-    u, ports = dilate(k)
+    u = dilate(k)
     eye = np.eye(4)
     assert np.array_equal(u[:4, :4], k)
     assert np.array_equal(u[4:, 4:], k.conj().T)
@@ -176,13 +178,15 @@ def test_dilate_block_structure():
     assert max_abs(top_right + psd_root(eye - k @ k.conj().T)) <= 1e-10
     assert max_abs(bottom_left - psd_root(eye - k.conj().T @ k)) <= 1e-10
     assert unitarity_defect(u) <= 1e-10
-    assert ports.input_ports == ports.output_ports == tuple(range(4))
+    # Inputs on ports 0..3, dark ports 4..7, outputs on ports 0..3.
+    x = random_amplitudes(rng, 4)
+    assert max_abs(apply_matrix(u, pad_vacuum(x, 8))[:4] - k @ x) <= 1e-12
 
 
 def test_dilate_handles_singular_value_at_one():
     rng = np.random.default_rng(27)
     k = random_contraction(rng, 5, 1.0)
-    u, _ = dilate(k)
+    u = dilate(k)
     assert unitarity_defect(u) <= 1e-10
 
 
@@ -193,21 +197,23 @@ def test_dilate_rejects_expansion():
 
 def test_dilate_pads_tall_matrix():
     k = np.array([[0.8], [0.0]])
-    u, ports = dilate(k)
+    u = dilate(k)
     assert u.shape == (4, 4)
     assert np.array_equal(u[:2, :1], k)
     assert unitarity_defect(u) <= 1e-12
-    assert ports.input_ports == (0,)
-    assert ports.output_ports == (0, 1)
+    # The one input enters port 0 with ports 1..3 dark; both outputs leave on ports 0..1.
+    x = np.array([0.3 - 1.2j])
+    assert max_abs(apply_matrix(u, pad_vacuum(x, 4))[:2] - k @ x) <= 1e-12
 
 
 def test_dilate_pads_wide_matrix():
     k = np.array([[0.7, 0.0]])
-    u, ports = dilate(k)
+    u = dilate(k)
     assert u.shape == (4, 4)
     assert np.array_equal(u[:1, :2], k)
-    assert ports.input_ports == (0, 1)
-    assert ports.output_ports == (0,)
+    # The two inputs enter ports 0..1 with ports 2..3 dark; the one output leaves on port 0.
+    x = np.array([0.3 - 1.2j, 2.0 + 0.5j])
+    assert max_abs(apply_matrix(u, pad_vacuum(x, 4))[:1] - k @ x) <= 1e-12
 
 
 def test_dilate_rejects_overlapping_identity_padding():
@@ -222,7 +228,7 @@ def test_dilated_random_contractions():
     for _ in range(10):
         size = int(rng.integers(1, 8))
         k = random_contraction(rng, size, 0.1 + 0.9 * rng.random())
-        u, _ = dilate(k)
+        u = dilate(k)
         assert unitarity_defect(u) <= 1e-10
         assert np.array_equal(u[:size, :size], k)
 
