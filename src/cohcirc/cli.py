@@ -101,23 +101,25 @@ def _print_amplitudes(out, starred: np.ndarray) -> None:
 
 def cmd_synth(args) -> int:
     matrix = read_matrix(args.matrix)
+    lines = []
     if matrix.shape[0] == matrix.shape[1] and linalg.is_unitary(matrix, args.tol):
         target, route = matrix, "unitary"
     else:
         target, route = dilate(matrix, args.tol), "dilation"
-        print(
+        lines.append(
             f"dilated {matrix.shape[0]}x{matrix.shape[1]} contraction into a "
             f"{target.shape[0]}-mode unitary; signal outputs on ports 1..{matrix.shape[0]}"
         )
     circuit = reck_decompose(target, args.tol)
     residual = linalg.max_abs(compile_circuit(circuit) - target)
     write_circuit(args.out, circuit)
-    print(
+    lines.append(
         f"route={route} modes={circuit.width} "
         f"beamsplitters={circuit.beamsplitter_count} "
         f"phase_shifters={circuit.phase_shifter_count} "
         f"residual={residual:.3e}"
     )
+    print("\n".join(lines))
     return 0
 
 

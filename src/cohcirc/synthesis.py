@@ -256,43 +256,30 @@ def reck_decompose(u, tol: float = linalg.UNITARY_TOL, full_mesh: bool = False) 
 def dilate(k, tol: float = linalg.UNITARY_TOL) -> np.ndarray:
     """Embed an M x N contraction K as the top-left block of a unitary.
 
-    Returns the 2s x 2s unitary
+    Returns the (M+N) x (M+N) unitary
 
-        [[K, -(I - K K^dag)^{1/2}], [(I - K^dag K)^{1/2}, K^dag]]
+        [[K, -(I_M - K K^dag)^{1/2}], [(I_N - K^dag K)^{1/2}, K^dag]]
 
-    with s = max(M, N) after a rectangular K is padded square (K in the
-    upper-left, ones on the remaining diagonal).  The N inputs enter ports
-    0..N-1, every later port is dark (vacuum), and K's M outputs leave on
-    ports 0..M-1.  One SVD of the padded matrix gives both the complement
-    roots and the contraction check.  Raises :class:`ContractionError`
-    when K's largest singular value exceeds 1 + tol, or when K is a
-    contraction but identity padding that overlaps its support pushes the
-    padded matrix's past that bound.
+    The N inputs enter ports 0..N-1, the M dark (vacuum) ancillas ports
+    N..N+M-1, and K's M outputs leave on ports 0..M-1.  Raises
+    :class:`ContractionError` unless K's largest singular value is at most
+    sqrt(1 + tol), so that the result is unitary within tol.
     """
     kk = linalg.as_matrix(k)
-    m_out, n_in = kk.shape
-    size = max(m_out, n_in)
-    padded = np.zeros((size, size), dtype=complex)
-    padded[:m_out, :n_in] = kk
-    for i in range(min(m_out, n_in), size):
-        padded[i, i] = 1.0
     # Both complement roots come from one SVD of K; computing them with two
     # independent eigendecompositions breaks the exchange identity
     # K (I-K^dag K)^{1/2} = (I-K K^dag)^{1/2} K by ~sqrt(eps) when a
     # singular value sits at 1, which would leave the block matrix
     # unitary only to ~1e-8.
-    v, s, wh = np.linalg.svd(padded)
-    if not s[0] <= 1 + tol:  # a nan fails too
-        sigma = s[0] if m_out == n_in else linalg.spectral_norm(kk)
-        if sigma <= 1 + tol:
-            raise ContractionError(
-                f"identity padding raises the largest singular value to {s[0]:.12g}; pad the "
-                "matrix with zero rows/columns yourself if the extra ports are not pass-through"
-            )
+    v, s, wh = np.linalg.svd(kk)
+    if not s[0] <= math.sqrt(1 + tol):  # a nan fails too
         raise ContractionError(
-            f"input is neither unitary nor a contraction (largest singular value {sigma:.12g})"
+            f"input is neither unitary nor a contraction (largest singular value {s[0]:.12g})"
         )
-    r = np.sqrt(np.clip(1.0 - s**2, 0.0, None))
-    out_complement = (v * r) @ v.conj().T
-    in_complement = (wh.conj().T * r) @ wh
-    return np.block([[padded, -out_complement], [in_complement, padded.conj().T]])
+    # Singular directions beyond min(M, N) have singular value 0, so root 1.
+    r_out = np.ones(kk.shape[0])
+    r_in = np.ones(kk.shape[1])
+    r_out[: s.size] = r_in[: s.size] = np.sqrt(np.clip(1.0 - s**2, 0.0, None))
+    out_complement = (v * r_out) @ v.conj().T
+    in_complement = (wh.conj().T * r_in) @ wh
+    return np.block([[kk, -out_complement], [in_complement, kk.conj().T]])

@@ -69,26 +69,34 @@ NOT_A_CONTRACTION = "error: input is neither unitary nor a contraction (largest 
         ([[1.5, 0, 0], [0, 0.5, 0]], 2, [], [NOT_A_CONTRACTION + "1.5)"]),
         (
             [[0.6, 0.6]],
-            2,
-            [],
+            0,
             [
-                "error: identity padding raises the largest singular value to 1.21495550208; "
-                "pad the matrix with zero rows/columns yourself if the extra ports are not "
-                "pass-through"
+                "dilated 1x2 contraction into a 3-mode unitary; signal outputs on ports 1..1",
+                "route=dilation modes=3 beamsplitters=3 phase_shifters=1 residual=",
             ],
+            [],
         ),
         (
             [[0.6, 0]],
             0,
             [
-                "dilated 1x2 contraction into a 4-mode unitary; signal outputs on ports 1..1",
-                "route=dilation modes=4 beamsplitters=1 phase_shifters=0 residual=",
+                "dilated 1x2 contraction into a 3-mode unitary; signal outputs on ports 1..1",
+                "route=dilation modes=3 beamsplitters=2 phase_shifters=1 residual=",
             ],
             [],
         ),
         ([[1e308]], 2, [], [NOT_A_CONTRACTION + "1e+308)"]),
+        # sigma^2 - 1 would exceed tol, so the dilation could not be unitary within it.
+        ((1 + 9e-11) * np.eye(2), 2, [], [NOT_A_CONTRACTION + "1.00000000009)"]),
     ],
-    ids=["scaled-unitary", "wide-expansion", "padding", "wide-contraction", "huge-scalar"],
+    ids=[
+        "scaled-unitary",
+        "wide-expansion",
+        "dense-wide-contraction",
+        "wide-contraction",
+        "huge-scalar",
+        "near-unit-expansion",
+    ],
 )
 @pytest.mark.filterwarnings("error")
 def test_synth_route_and_rejection_lines_are_pinned(matrix, code, out, err, tmp_path, capsys):
@@ -103,16 +111,33 @@ def test_synth_route_and_rejection_lines_are_pinned(matrix, code, out, err, tmp_
 
 
 def test_dilation_synth_takes_one_svd(tmp_path, capsys, monkeypatch):
-    # dilate's one SVD of the padded matrix is both the contraction check
-    # and the source of the complement roots.
-    matrix_file = tmp_path / "m.txt"
-    matrix_file.write_text(format_matrix(random_contraction(np.random.default_rng(6), 6, 0.9)))
-    calls = []
+    # dilate's one SVD of K is both the contraction check and the source
+    # of the complement roots, for square and rectangular K and on the
+    # error path.
+    cases = [
+        (random_contraction(np.random.default_rng(6), 6, 0.9), 0, "route=dilation modes=12 "),
+        (np.full((2, 5), 0.3), 0, "route=dilation modes=7 "),
+        (np.diag([1.5, 0.2, 0.1]), 2, ""),
+    ]
     svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(a) or svd(*a, **kw))
-    assert main(["synth", str(matrix_file), str(tmp_path / "c.txt")]) == 0
-    assert "route=dilation modes=12 " in capsys.readouterr().out
-    assert len(calls) == 1
+    for matrix, code, printed in cases:
+        matrix_file = tmp_path / "m.txt"
+        matrix_file.write_text(format_matrix(np.asarray(matrix, dtype=complex)))
+        calls = []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(a) or svd(*a, **kw))
+        assert main(["synth", str(matrix_file), str(tmp_path / "c.txt")]) == code
+        assert printed in capsys.readouterr().out
+        assert len(calls) == 1
+
+
+def test_synth_prints_nothing_when_the_circuit_cannot_be_written(tmp_path, capsys):
+    matrix_file = tmp_path / "m.txt"
+    matrix_file.write_text(format_matrix(comparison_map(2)))
+    assert main(["synth", str(matrix_file), str(tmp_path / "no" / "c.txt")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
 
 
 def test_synth_rejects_garbage_file(tmp_path):

@@ -141,7 +141,7 @@ def test_pad_then_dilated_unitary_reproduces_contraction():
     rng = np.random.default_rng(34)
     k = random_contraction(rng, 3, 0.7)
     u = dilate(k)
-    assert u.shape == (6, 6)  # width 2 * max(M, N)
+    assert u.shape == (6, 6)  # width M + N
     vec = random_amplitudes(rng, 3)
     out = apply_matrix(u, pad_vacuum(vec, u.shape[0]))
     assert np.max(np.abs(out[:3] - apply_matrix(k, vec))) <= 1e-12

@@ -195,32 +195,39 @@ def test_dilate_rejects_expansion():
         dilate(np.diag([1.5, 0.2]))
 
 
-def test_dilate_pads_tall_matrix():
+def test_dilate_tall_matrix():
     k = np.array([[0.8], [0.0]])
     u = dilate(k)
-    assert u.shape == (4, 4)
+    assert u.shape == (3, 3)
     assert np.array_equal(u[:2, :1], k)
     assert unitarity_defect(u) <= 1e-12
-    # The one input enters port 0 with ports 1..3 dark; both outputs leave on ports 0..1.
+    # The one input enters port 0 with ports 1..2 dark; both outputs leave on ports 0..1.
     x = np.array([0.3 - 1.2j])
-    assert max_abs(apply_matrix(u, pad_vacuum(x, 4))[:2] - k @ x) <= 1e-12
+    assert max_abs(apply_matrix(u, pad_vacuum(x, 3))[:2] - k @ x) <= 1e-12
 
 
-def test_dilate_pads_wide_matrix():
+def test_dilate_wide_matrix():
     k = np.array([[0.7, 0.0]])
     u = dilate(k)
-    assert u.shape == (4, 4)
+    assert u.shape == (3, 3)
     assert np.array_equal(u[:1, :2], k)
-    # The two inputs enter ports 0..1 with ports 2..3 dark; the one output leaves on port 0.
+    # The two inputs enter ports 0..1 with port 2 dark; the one output leaves on port 0.
     x = np.array([0.3 - 1.2j, 2.0 + 0.5j])
-    assert max_abs(apply_matrix(u, pad_vacuum(x, 4))[:1] - k @ x) <= 1e-12
+    assert max_abs(apply_matrix(u, pad_vacuum(x, 3))[:1] - k @ x) <= 1e-12
 
 
-def test_dilate_rejects_overlapping_identity_padding():
-    # Padding a dense rectangular contraction with identity rows pushes
-    # the singular values past 1.
-    with pytest.raises(ContractionError, match="padding"):
-        dilate(np.array([[0.6], [0.6]]))
+def test_dilate_fifty_fifty_combiner_and_splitter():
+    # The paper's simplest N != M maps: two inputs combined onto one
+    # output, and one input split onto two.
+    h = 1 / np.sqrt(2)
+    a = np.array([0.3 - 1.2j, 2.0 + 0.5j])
+    combiner = dilate(np.array([[h, h]]))
+    assert unitarity_defect(combiner) <= 1e-12
+    assert abs(apply_matrix(combiner, pad_vacuum(a, 3))[0] - (a[0] + a[1]) * h) <= 1e-12
+    splitter = dilate(np.array([[h], [h]]))
+    assert unitarity_defect(splitter) <= 1e-12
+    out = apply_matrix(splitter, pad_vacuum(a[:1], 3))[:2]
+    assert max_abs(out - a[0] * h) <= 1e-12
 
 
 def test_dilated_random_contractions():
@@ -231,6 +238,16 @@ def test_dilated_random_contractions():
         u = dilate(k)
         assert unitarity_defect(u) <= 1e-10
         assert np.array_equal(u[:size, :size], k)
+    for _ in range(20):
+        m, n = (int(d) for d in rng.integers(1, 8, size=2))
+        z = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        k = z * ((0.1 + 0.9 * rng.random()) / np.linalg.norm(z, 2))
+        u = dilate(k)
+        assert u.shape == (m + n, m + n)
+        assert unitarity_defect(u) <= 1e-10
+        assert np.array_equal(u[:m, :n], k)
+        x = random_amplitudes(rng, n)
+        assert max_abs(apply_matrix(u, pad_vacuum(x, m + n))[:m] - k @ x) <= 1e-12
 
 
 NON_CANONICAL = "a phase shifter row must repeat its mode and have theta 0, got modes "
