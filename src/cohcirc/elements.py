@@ -1,11 +1,10 @@
 """The two physical primitives: beamsplitters and phase shifters.
 
-Element matrices act on vectors of conjugated ("starred") coherent
-amplitudes.  The beamsplitter uses the same 2x2 matrix for mode
-operators and starred amplitudes; the phase shifter multiplies a
-starred amplitude by exp(-i*phi) while the mode operator itself gains
-exp(+i*phi).  Mode indices are 0-based everywhere in code; 1-based
-port labels appear only in CLI output.
+Element matrices M map starred (conjugated) coherent amplitudes, which for
+both elements transform as creation operators do in the Heisenberg picture,
+a_i^dag -> sum_j M_ij a_j^dag; physical and single-photon amplitudes take
+conj(M).  Modes are 0-based in code; 1-based port labels appear only in
+CLI output.
 """
 
 from __future__ import annotations

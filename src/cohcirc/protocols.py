@@ -255,27 +255,27 @@ def restore(outcome: SearchOutcome, spec: SearchSpec) -> np.ndarray:
 
 def success_probability(alpha1: complex, alpha2: complex) -> float:
     """Identification success rate for two references under equal priors:
-    1 - exp(-|alpha1 - alpha2|^2 / 3)."""
-    distance_sq = abs(complex(alpha1) - complex(alpha2)) ** 2
+    1 - exp(-|alpha1 - alpha2|^2 / 3), saturating at 1 when the square overflows."""
+    try:
+        distance_sq = abs(complex(alpha1) - complex(alpha2)) ** 2
+    except OverflowError:
+        return 1.0
     return float(-np.expm1(-distance_sq / 3))
 
 
 def analytic_success_probability(spec: SearchSpec) -> float:
     """Probability that the promised match's click pattern completes.
 
-    Product of the click probabilities of every comparison port other
-    than the matching one; reduces to ``success_probability`` for two
-    references.  NaN when the datum matches no (or several) references.
+    Product of the click probabilities of the comparison ports other than
+    the matching one, read from ``spec.outputs``, the forward pass the
+    detectors sample (:class:`NonFiniteError` if it overflows); reduces to
+    ``success_probability`` for two references.  NaN when the datum
+    matches no (or several) references.
     """
-    k = spec.match
-    if k is None:
+    if spec.match is None:
         return float("nan")
-    p = 1.0
-    for j, ref in enumerate(spec.references, start=1):
-        if j != k:
-            # Halved so the difference cannot overflow; halving is exact for normal numbers.
-            p *= click_probability(2 * (spec.c * (spec.data / 2 - ref / 2)))
-    return p
+    ports = spec.outputs[1 : spec.n + 1].tolist()
+    return math.prod(click_probability(b) for j, b in enumerate(ports, 1) if j != spec.match)
 
 
 def search_circuit(n: int, c: float | None = None) -> Circuit:

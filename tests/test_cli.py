@@ -523,6 +523,23 @@ def test_bad_input_exits_with_one_error_line(argv, code, tmp_path, monkeypatch, 
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--refs=-1.7e308,0;1.7e308,0", "--data=-1.7e308,0"],
+        ["search", "--refs=1.7e308,0;1.7e308,1e307", "--data=1.7e308,0", "--out", "o.csv"],
+    ],
+    ids=["search-ports-overflow", "search-ports-overflow-out"],
+)
+@pytest.mark.filterwarnings("error")
+def test_search_overflow_fails_before_writing_anything(argv, tmp_path, monkeypatch, capsys):
+    # Every input is finite, but a comparison port's amplitude overflows.
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: propagated amplitudes overflow\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "argv, line",
     [
         (["synth", "empty_matrix.txt", "out.txt"], "matrix: empty input"),

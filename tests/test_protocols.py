@@ -499,6 +499,8 @@ def test_restore_rejects_bad_retained_width():
 
 def test_success_probability_degenerate():
     assert success_probability(1.0, 1.0) == 0.0
+    # |alpha1 - alpha2|^2 overflows: the rate saturates as click_probability's does.
+    assert success_probability(0.0, 1e155) == 1.0
 
 
 def test_success_probability_reference_point():
@@ -528,6 +530,28 @@ def test_analytic_success_product_rule():
         spec.c * (0.5 + 1.5j)
     )
     assert analytic_success_probability(spec) == pytest.approx(expected)
+
+
+@pytest.mark.parametrize(
+    "refs, data, mode",
+    [((0.5, 2.0, -1.5j, 1.5 - 0.5j), -1.5j, DILATION), ((-1.5j, 0.3 + 0.4j), -1.5j, EXPLICIT)],
+    ids=["dilation", "explicit"],
+)
+def test_analytic_success_is_the_product_over_the_forward_pass(refs, data, mode):
+    spec = SearchSpec(refs, data, mode=mode)
+    expected = 1.0
+    for j in range(1, spec.n + 1):
+        if j != spec.match:
+            expected *= click_probability(spec.outputs[j])
+    # Bit for bit; the closed form c * (data - ref) differs here in the last bits.
+    assert analytic_success_probability(spec) == expected
+
+
+def test_analytic_success_raises_when_the_forward_pass_overflows():
+    # Every input is finite, but port 2 carries c * 3.4e308.
+    spec = SearchSpec((-1.7e308, 1.7e308), -1.7e308)
+    with pytest.raises(NonFiniteError, match="^propagated amplitudes overflow$"):
+        analytic_success_probability(spec)
 
 
 def test_analytic_success_unmatched_data_is_nan():
