@@ -4,8 +4,8 @@ Detectors are ideal threshold detectors: unit efficiency and no dark
 counts.  They report only "at least one photon", which on a coherent
 state |beta> happens with probability 1 - exp(-|beta|^2).  Sampling
 uses numpy's default PCG64 generator (``np.random.default_rng``) with a
-64-bit seed, drawing one uniform per port in port order, so a seed fixes
-the whole click record, a bool array True where a port clicked, bit for
+64-bit seed, drawing one uniform per amplitude in order, so a seed fixes the
+whole click record, a bool array True where a port clicked, bit for
 bit.  Trial t of a batch is seeded with seed + t, and its draws come from
 a vectorized re-implementation of numpy's SeedSequence and PCG64 seeding
 (NumPy NEP 19; O'Neill, "PCG: A Family of Simple Fast Space-Efficient
@@ -17,13 +17,11 @@ from __future__ import annotations
 
 import cmath
 import operator
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from .elements import _INTEGER
 from .engine import as_amplitudes
-from .errors import DimensionError, NonFiniteError
+from .errors import NonFiniteError
 
 
 def click_probability(beta: complex) -> float:
@@ -127,24 +125,15 @@ def _uniforms(seed: int, trials: int, n: int) -> np.ndarray:
     return out
 
 
-def sample_clicks(
-    amplitudes, ports: Sequence[int] | Iterable[int], seed: int, trials: int | None = None
-) -> np.ndarray:
-    """Independent Bernoulli click draws on the integer ``ports``, reproducible by seed.
+def sample_clicks(amplitudes, seed: int, trials: int | None = None) -> np.ndarray:
+    """Independent Bernoulli clicks, one per amplitude in order, reproducible by seed.
 
-    Returns bools, True where a port clicked.  With ``trials=None`` one
-    per port, drawn from ``default_rng(seed)``.  With an integer a
-    (trials, len(ports)) array whose row t holds the clicks the single
-    draw with seed ``seed + t`` gives; those seeds must lie in [0, 2**64).
+    Returns bools, True where a port clicked.  With ``trials=None`` shape
+    (n,), drawn from ``default_rng(seed)``.  With an integer a (trials, n)
+    array whose row t holds the clicks the single draw with seed ``seed + t``
+    gives; those seeds must lie in [0, 2**64).
     """
-    vec = as_amplitudes(amplitudes)
-    ports = list(ports)
-    for port in ports:
-        if not isinstance(port, _INTEGER):
-            raise DimensionError(f"port must be an integer, got {port!r}")
-        if not 0 <= port < vec.shape[0]:
-            raise DimensionError(f"port {port} out of range for width {vec.shape[0]}")
-    probabilities = np.array([click_probability(vec[port]) for port in ports])
+    probabilities = np.array([click_probability(b) for b in as_amplitudes(amplitudes)])
     if trials is None:
-        return np.random.default_rng(seed).random(len(ports)) < probabilities
-    return _uniforms(seed, trials, len(ports)) < probabilities
+        return np.random.default_rng(seed).random(len(probabilities)) < probabilities
+    return _uniforms(seed, trials, len(probabilities)) < probabilities

@@ -17,8 +17,8 @@ import numpy as np
 from .errors import DimensionError, NonFiniteError
 
 
-# Modes, detector ports and circuit widths index arrays, so they must be
-# integers (numpy integer scalars too).
+# Modes, circuit widths and DFT sizes index or shape arrays, so they must
+# be integers (numpy integer scalars too).
 _INTEGER = (int, np.integer)
 
 

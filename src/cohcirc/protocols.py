@@ -24,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .detection import click_probability, sample_clicks
+from .elements import _INTEGER
 from .engine import apply_circuit, apply_matrix, pad_vacuum
 from .errors import ContractionError, DimensionError, NonFiniteError, SynthesisError
 from .synthesis import Circuit, dilate, reck_decompose
@@ -35,8 +36,8 @@ SEARCH_MODES = (DILATION, EXPLICIT)
 
 def dft_matrix(n: int) -> np.ndarray:
     """Unitary DFT, entries omega^(j*k)/sqrt(n) with omega = exp(2*pi*i/n)."""
-    if n < 1:
-        raise DimensionError("DFT size must be at least 1")
+    if not isinstance(n, _INTEGER) or n < 1:
+        raise DimensionError(f"DFT size must be an integer of at least 1, got {n!r}")
     idx = np.arange(n)
     return np.exp(2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
 
@@ -85,7 +86,7 @@ def comparison_map(n: int, c: float | None = None) -> np.ndarray:
     """
     if n < 2:
         raise DimensionError("need at least two reference states")
-    scale = max_comparison_scale(n) if c is None else float(c)
+    scale = _comparison_scale(n, c)
     k = np.zeros((n + 1, n + 1), dtype=complex)
     k[1:, 0] = scale
     k[np.arange(1, n + 1), np.arange(1, n + 1)] = -scale
@@ -95,6 +96,13 @@ def comparison_map(n: int, c: float | None = None) -> np.ndarray:
 def max_comparison_scale(n: int) -> float:
     """Largest comparison scale keeping the map a contraction: 1/sqrt(n+1)."""
     return 1.0 / np.sqrt(n + 1)
+
+
+def _comparison_scale(n: int, c: float | None) -> float:
+    scale = float(max_comparison_scale(n) if c is None else c)
+    if not math.isfinite(scale):
+        raise NonFiniteError(f"comparison scale must be finite, got {scale}")
+    return scale
 
 
 def search_unitary_explicit() -> np.ndarray:
@@ -131,9 +139,7 @@ class SearchSpec:
         if len(refs) < 2:
             raise DimensionError("need at least two reference states")
         c_max = max_comparison_scale(len(refs))
-        scale = float(c_max if self.c is None else self.c)
-        if not math.isfinite(scale):
-            raise NonFiniteError(f"comparison scale must be finite, got {scale}")
+        scale = _comparison_scale(len(refs), self.c)
         if abs(scale) > c_max + 1e-12:
             raise ContractionError(
                 f"comparison scale {scale:.12g} exceeds the contraction bound "
@@ -227,7 +233,7 @@ def run_search(spec: SearchSpec, seed: int, trials: int | None = None) -> Search
     whose row t equals the single trial ``seed + t``.
     """
     out = spec.outputs
-    clicked = sample_clicks(out, range(1, spec.n + 1), seed, trials)
+    clicked = sample_clicks(out[1 : spec.n + 1], seed, trials)
     silent = ~clicked
     identified = np.where(silent.sum(axis=-1) == 1, silent.argmax(axis=-1) + 1, 0)
     if trials is None:
@@ -256,6 +262,8 @@ def restore(outcome: SearchOutcome, spec: SearchSpec) -> np.ndarray:
 def success_probability(alpha1: complex, alpha2: complex) -> float:
     """Identification success rate for two references under equal priors:
     1 - exp(-|alpha1 - alpha2|^2 / 3), saturating at 1 when the square overflows."""
+    if not (cmath.isfinite(alpha1) and cmath.isfinite(alpha2)):
+        raise NonFiniteError("amplitudes must be finite")
     try:
         distance_sq = abs(complex(alpha1) - complex(alpha2)) ** 2
     except OverflowError:
@@ -278,14 +286,14 @@ def analytic_success_probability(spec: SearchSpec) -> float:
     return math.prod(click_probability(b) for j, b in enumerate(ports, 1) if j != spec.match)
 
 
-def search_circuit(n: int, c: float | None = None) -> Circuit:
+def search_circuit(n: int) -> Circuit:
     """Physical mesh realizing the dilated comparison map for n references.
 
     The triangular mesh is kept complete (theta=0 couplers included), so
     the beamsplitter count is exactly m(m-1)/2 = (n+1)(2n+1) for the
     m = 2(n+1) modes.
     """
-    return reck_decompose(dilate(comparison_map(n, c)), full_mesh=True)
+    return reck_decompose(dilate(comparison_map(n)), full_mesh=True)
 
 
 # --- Bell-cat feasibility -------------------------------------------------

@@ -59,6 +59,8 @@ class Circuit:
                 [getattr(e, "theta", 0.0) for e in elements],
                 [e.phi for e in elements],
             )
+        elif tuple(elements):
+            raise TypeError("give a circuit's elements or its columns, not both")
         modes = np.asarray(columns[0])
         if modes.size and modes.dtype.kind not in "iu":
             raise DimensionError("element modes must be integers within the index range")

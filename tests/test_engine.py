@@ -48,6 +48,11 @@ def test_apply_matrix_dimension_mismatch():
         apply_matrix(np.eye(3), [1.0, 2.0])
 
 
+def test_amplitudes_must_be_a_vector():
+    with pytest.raises(DimensionError, match="^expected a 1-D amplitude vector, got ndim=2$"):
+        apply_matrix(np.eye(2), [[1.0], [2.0]])
+
+
 @given(scale=finite_complex)
 def test_apply_matrix_is_linear(scale):
     m = np.array([[0.3 + 1j, -0.2], [0.5j, 1.1]])

@@ -3,7 +3,7 @@ import pytest
 
 from cohcirc import is_unitary, random_unitary, spectral_norm
 from cohcirc.errors import DimensionError
-from cohcirc.linalg import unitarity_defect
+from cohcirc.linalg import as_matrix, unitarity_defect
 
 
 def comparison_matrix(c: float) -> np.ndarray:
@@ -21,6 +21,20 @@ def test_is_unitary_rejects_contraction():
 def test_is_unitary_requires_square():
     with pytest.raises(DimensionError):
         is_unitary(np.zeros((2, 3)), 1e-10)
+
+
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        (np.zeros(3), "expected a 2-D matrix, got ndim=1"),
+        (np.zeros((0, 2)), "matrix must be at least 1x1, got shape (0, 2)"),
+    ],
+    ids=["vector", "empty"],
+)
+def test_as_matrix_rejects_bad_shapes(m, message):
+    with pytest.raises(DimensionError) as caught:
+        as_matrix(m)
+    assert str(caught.value) == message
 
 
 def test_product_of_unitaries_is_unitary():

@@ -62,6 +62,22 @@ def test_phase_states_conserve_photon_number():
     assert mean_photon_number(out) == pytest.approx(6 * abs(alpha) ** 2)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: dft_matrix(0), "DFT size must be an integer of at least 1, got 0"),
+        (lambda: dft_matrix(2.5), "DFT size must be an integer of at least 1, got 2.5"),
+        (lambda: generate_phase_states(0, 1.0), "need at least one output state"),
+        (lambda: attenuation_ladder(0, 1.0), "need at least one rung"),
+    ],
+    ids=["dft-empty", "dft-fractional", "phase-states-empty", "ladder-empty"],
+)
+def test_sizes_must_be_positive_integers(build, message):
+    with pytest.raises(DimensionError) as caught:
+        build()
+    assert str(caught.value) == message
+
+
 def test_attenuation_ladder_single_rung():
     assert np.allclose(attenuation_ladder(1, 2.0 + 1j), [2.0 - 1j])
 
@@ -259,8 +275,12 @@ def test_search_spec_rejects_non_finite_amplitudes(value):
 
 @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
 def test_search_spec_rejects_non_finite_scale(c):
-    with pytest.raises(NonFiniteError):
+    with pytest.raises(NonFiniteError) as built:
         SearchSpec((1.0, 2.0), 1.0, c=c)
+    # The bare map checks its scale the same way.
+    with pytest.raises(NonFiniteError) as mapped:
+        comparison_map(3, c)
+    assert str(mapped.value) == str(built.value) == f"comparison scale must be finite, got {c}"
 
 
 def test_run_search_is_deterministic():
@@ -501,6 +521,12 @@ def test_success_probability_degenerate():
     assert success_probability(1.0, 1.0) == 0.0
     # |alpha1 - alpha2|^2 overflows: the rate saturates as click_probability's does.
     assert success_probability(0.0, 1e155) == 1.0
+    assert success_probability(1.7e308, -1.7e308) == 1.0  # the difference overflows
+    # A non-finite amplitude is an error, as it is for click_probability.
+    for value in (np.nan, np.inf, complex(0, -np.inf)):
+        for pair in ((value, 0.0), (0.0, value)):
+            with pytest.raises(NonFiniteError, match="^amplitudes must be finite$"):
+                success_probability(*pair)
 
 
 def test_success_probability_reference_point():

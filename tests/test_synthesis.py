@@ -57,6 +57,11 @@ def test_circuit_accepts_numpy_integer_width():
     )
 
 
+def test_circuit_equality_defers_to_other_types():
+    assert Circuit(1).__eq__(1) is NotImplemented
+    assert Circuit(1) != 1
+
+
 def test_reck_rejects_non_square_matrix():
     with pytest.raises(SynthesisError, match="only square matrices"):
         reck_decompose(np.ones((2, 3)))
@@ -300,6 +305,14 @@ NON_CANONICAL = "a phase shifter row must repeat its mode and have theta 0, got 
             lambda: Circuit(2, columns=([[0, 5]], [False], [0.0], [0.5])),
             DimensionError,
             NON_CANONICAL + "(0, 5) and theta 0",
+        ),
+        # This once kept the columns and dropped the beamsplitter.
+        (
+            lambda: Circuit(
+                2, [Beamsplitter(0, 1, 0.1, 0.2)], columns=([[0, 0]], [False], [0.0], [0.3])
+            ),
+            TypeError,
+            "give a circuit's elements or its columns, not both",
         ),
     ],
 )
