@@ -9,6 +9,13 @@ Circuit:     first line "width=<n>", then one element per line in
              application order, either "BS <i> <j> <theta> <phi>" or
              "PS <i> <phi>".  Modes are 0-based, angles in radians and
              written with 17 significant digits.
+
+The last circuit text this process wrote with :func:`write_circuit` or
+parsed with :func:`parse_circuit` is kept with its :class:`Circuit`, and
+parsing that same text again returns that object, with any layers it has
+already lowered.  ``.17g`` round-trips every finite double, sign of zero
+included, so the kept circuit holds the values a fresh parse would.
+Treat a returned circuit as read-only: it may be shared.
 """
 
 from __future__ import annotations
@@ -20,6 +27,9 @@ from .synthesis import Circuit
 
 class ParseError(ValueError):
     """Input text does not conform to one of the file formats."""
+
+
+_last_circuit: tuple[str, Circuit] | None = None  # (text, circuit), see the module docstring
 
 
 def _numbers(convert, tokens: list[str], context: str) -> list:
@@ -84,6 +94,10 @@ def parse_amplitudes(text: str) -> np.ndarray:
 
 
 def parse_circuit(text: str) -> Circuit:
+    global _last_circuit
+    last = _last_circuit
+    if last is not None and last[0] == text:
+        return last[1]
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines or not lines[0].startswith("width="):
         raise ParseError("circuit: first line must be 'width=<n>'")
@@ -99,11 +113,13 @@ def parse_circuit(text: str) -> Circuit:
     modes = _numbers(int, [t for f in fields for t in f[:2]], "circuit")
     angles = _numbers(float, [t for f in fields for t in f[2:]], "circuit")
     try:
-        return Circuit(width, columns=(modes, coupler, angles[0::2], angles[1::2]))
+        circuit = Circuit(width, columns=(modes, coupler, angles[0::2], angles[1::2]))
     except ValueError as exc:
         row = getattr(exc, "row", None)
         where = "" if row is None else f"invalid element {body[row]!r}: "
         raise ParseError(f"circuit: {where}{exc}") from None
+    _last_circuit = text, circuit
+    return circuit
 
 
 def format_circuit(circuit: Circuit) -> str:
@@ -136,5 +152,8 @@ def read_circuit(path) -> Circuit:
 
 
 def write_circuit(path, circuit: Circuit) -> None:
+    global _last_circuit
+    text = format_circuit(circuit)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_circuit(circuit))
+        fh.write(text)
+    _last_circuit = text, circuit

@@ -34,10 +34,15 @@ EXPLICIT = "explicit"
 SEARCH_MODES = (DILATION, EXPLICIT)
 
 
+def _check_size(n, minimum: int, message: str) -> None:
+    """Raise DimensionError(message) unless ``n`` is an integer of at least ``minimum``."""
+    if not isinstance(n, _INTEGER) or n < minimum:
+        raise DimensionError(message)
+
+
 def dft_matrix(n: int) -> np.ndarray:
     """Unitary DFT, entries omega^(j*k)/sqrt(n) with omega = exp(2*pi*i/n)."""
-    if not isinstance(n, _INTEGER) or n < 1:
-        raise DimensionError(f"DFT size must be an integer of at least 1, got {n!r}")
+    _check_size(n, 1, f"DFT size must be an integer of at least 1, got {n!r}")
     idx = np.arange(n)
     return np.exp(2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
 
@@ -55,8 +60,7 @@ def generate_phase_states(n: int, alpha: complex) -> np.ndarray:
     second port (the only one when n = 1), so port k (0-based) yields
     alpha*omega^k.  Returns starred amplitudes of width n.
     """
-    if n < 1:
-        raise DimensionError("need at least one output state")
+    _check_size(n, 1, "need at least one output state")
     physical_in = np.zeros(n, dtype=complex)
     physical_in[min(1, n - 1)] = math.sqrt(n) * complex(alpha)
     return apply_circuit(_dft_circuit(n), physical_in.conj())
@@ -69,8 +73,7 @@ def attenuation_ladder(n: int, alpha: complex) -> np.ndarray:
     through its unitary dilation with n dark ancilla ports and returns
     the starred amplitudes of the n signal outputs.
     """
-    if n < 1:
-        raise DimensionError("need at least one rung")
+    _check_size(n, 1, "need at least one rung")
     damping = np.diag(1.0 / np.sqrt(np.arange(1, n + 1))).astype(complex)
     starred_in = pad_vacuum(np.full(n, complex(alpha)).conj(), 2 * n)
     return apply_matrix(dilate(damping), starred_in)[:n]
@@ -84,8 +87,7 @@ def comparison_map(n: int, c: float | None = None) -> np.ndarray:
     so the map is a contraction exactly when |c| <= 1/sqrt(n+1), the
     default scale.
     """
-    if n < 2:
-        raise DimensionError("need at least two reference states")
+    _check_size(n, 2, "need at least two reference states")
     scale = _comparison_scale(n, c)
     k = np.zeros((n + 1, n + 1), dtype=complex)
     k[1:, 0] = scale

@@ -1,8 +1,22 @@
 import itertools
 
 import numpy as np
+import pytest
 
-from cohcirc import Beamsplitter, Circuit, PhaseShifter, analytic_success_probability, run_search
+from cohcirc import (
+    Beamsplitter,
+    Circuit,
+    PhaseShifter,
+    analytic_success_probability,
+    formats,
+    run_search,
+)
+
+
+@pytest.fixture(autouse=True)
+def no_kept_circuit(monkeypatch):
+    """Each test starts as a fresh process does, with no circuit text kept by ``formats``."""
+    monkeypatch.setattr(formats, "_last_circuit", None)
 
 
 def random_contraction(rng, size: int, sigma_max: float) -> np.ndarray:

@@ -441,6 +441,7 @@ BAD_INPUT_FILES = {
     "no_rows_matrix.txt": "0 2\n",
     "no_modes.txt": "n=0\n",
     "three_numbers.txt": "n=1\n1 2 3\n",
+    "empty_circuit.txt": "",
 }
 
 
@@ -502,6 +503,7 @@ BAD_INPUTS = {
     "argv37-2": (["bellcat", "--v1=1e100,0,0,2e100", "--v2=1,0,-1,0", "--alpha=0.35,0"], 2),
     "argv38-2": (["bellcat", "--v1=1e50,0,0,2e50", "--v2=1,0.3,-0.7,1", "--alpha=0.3,0"], 2),
     "argv39-2": (["bellcat", "--v1=1e200,0,0,0", "--v2=0,0,1e-200,0", "--alpha=3e-201,0"], 2),
+    "run-empty-circuit-file": (["run", "empty_circuit.txt", "huge_input.txt"], 1),
 }
 
 
@@ -549,12 +551,17 @@ def test_search_overflow_fails_before_writing_anything(argv, tmp_path, monkeypat
             ["run", "splitter.txt", "three_numbers.txt"],
             "amplitudes: expected 're im', got '1 2 3'",
         ),
+        (
+            ["run", "empty_circuit.txt", "huge_input.txt"],
+            "circuit: first line must be 'width=<n>'",
+        ),
     ],
     ids=[
         "argv0-matrix: empty input",
         "argv1-matrix: invalid shape 0x2",
         "argv2-amplitudes: invalid width 0",
         "argv3-amplitudes: expected 're im', got '1 2 3'",
+        "run-empty-circuit-file",
     ],
 )
 def test_malformed_file_error_lines_are_pinned(argv, line, tmp_path, monkeypatch, capsys):

@@ -69,8 +69,14 @@ def test_phase_states_conserve_photon_number():
         (lambda: dft_matrix(2.5), "DFT size must be an integer of at least 1, got 2.5"),
         (lambda: generate_phase_states(0, 1.0), "need at least one output state"),
         (lambda: attenuation_ladder(0, 1.0), "need at least one rung"),
+        (lambda: generate_phase_states(2.5, 1.0), "need at least one output state"),
+        (lambda: attenuation_ladder(2.5, 1.0), "need at least one rung"),
+        (lambda: comparison_map(2.5), "need at least two reference states"),
     ],
-    ids=["dft-empty", "dft-fractional", "phase-states-empty", "ladder-empty"],
+    ids=[
+        "dft-empty", "dft-fractional", "phase-states-empty", "ladder-empty",
+        "phase-states-fractional", "ladder-fractional", "comparison-fractional",
+    ],
 )
 def test_sizes_must_be_positive_integers(build, message):
     with pytest.raises(DimensionError) as caught:
