@@ -10,13 +10,6 @@ database search, and Bell-cat feasibility checking.
 from types import ModuleType as _ModuleType
 
 from .detection import click_probability, sample_clicks
-from .elements import (
-    Beamsplitter,
-    OpticalElement,
-    PhaseShifter,
-    beamsplitter_matrix,
-    phaseshifter_factor,
-)
 from .engine import (
     apply_circuit,
     apply_matrix,
@@ -43,9 +36,13 @@ from .protocols import (
     success_probability,
 )
 from .synthesis import (
+    Beamsplitter,
     Circuit,
+    PhaseShifter,
+    beamsplitter_matrix,
     compile_circuit,
     dilate,
+    phaseshifter_factor,
     reck_decompose,
 )
 

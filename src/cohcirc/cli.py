@@ -17,6 +17,7 @@ import functools
 import itertools
 import math
 import operator
+import os
 import sys
 import warnings
 
@@ -135,8 +136,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.n is not None and args.n != len(args.refs):
-        raise ParseError(f"--n {args.n} does not match {len(args.refs)} references")
+    both = args.out and args.clicks_out  # realpath stats every path component
+    if both and os.path.realpath(args.out) == os.path.realpath(args.clicks_out):
+        raise ParseError(f"--out and --clicks-out name the same file {args.out!r}")
     if args.seed + args.trials > 2**64:
         raise ParseError(
             f"--seed {args.seed} with --trials {args.trials} needs seeds beyond 2**64 - 1"
@@ -244,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="run seeded database-search trials")
     p.add_argument("--refs", type=_complexes, required=True, help="references 're,im;re,im;...'")
     p.add_argument("--data", type=_complex, required=True, help="unknown datum as 're,im'")
-    p.add_argument("--n", type=_positive_count, default=None, help="expected reference count")
     p.add_argument("--c", type=_positive, default=None, help="comparison scale")
     p.add_argument("--trials", type=_positive_count, default=1)
     p.add_argument("--seed", type=_count, default=0)
@@ -274,6 +275,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help printed its text and asked to exit 0
+        return exc.code
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

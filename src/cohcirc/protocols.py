@@ -24,10 +24,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .detection import click_probability, sample_clicks
-from .elements import _INTEGER
 from .engine import apply_circuit, apply_matrix, pad_vacuum
 from .errors import ContractionError, DimensionError, NonFiniteError, SynthesisError
-from .synthesis import Circuit, dilate, reck_decompose
+from .synthesis import _INTEGER, Circuit, dilate, reck_decompose
 
 DILATION = "dilation"
 EXPLICIT = "explicit"

@@ -1,5 +1,12 @@
-"""Circuit synthesis: triangular-mesh decomposition of unitaries and
+"""Circuit synthesis: the beamsplitter and phase-shifter primitives, the
+circuits built from them, triangular-mesh decomposition of unitaries and
 block dilation of contractions.
+
+Element matrices M map starred (conjugated) coherent amplitudes, which for
+both elements transform as creation operators do in the Heisenberg picture,
+a_i^dag -> sum_j M_ij a_j^dag; physical and single-photon amplitudes take
+conj(M).  Modes are 0-based in code; 1-based port labels appear only in
+CLI output.
 
 A :class:`Circuit` holds its elements as columns, one row per element in
 physical order.  It is lowered once into layers of elements on disjoint
@@ -21,21 +28,94 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .elements import (
-    _INTEGER,
-    Beamsplitter,
-    OpticalElement,
-    PhaseShifter,
-    beamsplitter_matrix,
-    element_error,
-    phaseshifter_factor,
-)
-from .errors import ContractionError, DimensionError, SynthesisError
+from .errors import ContractionError, DimensionError, NonFiniteError, SynthesisError
+
+
+# Modes, circuit widths and DFT sizes index or shape arrays, so they must
+# be integers (numpy integer scalars too).
+_INTEGER = (int, np.integer)
+
+
+def element_error(modes: tuple, angles: tuple) -> ValueError | None:
+    """The error a beamsplitter (two modes) or phase shifter (one mode)
+    with these modes and angles is rejected with, or None if it is valid."""
+    first, last = modes[0], modes[-1]
+    kind, s = ("beamsplitter", "s") if len(modes) == 2 else ("phase shifter", "")
+    if not (isinstance(first, _INTEGER) and isinstance(last, _INTEGER)):
+        what = "integers" if s else "an integer"
+        return DimensionError(f"{kind} mode{s} must be {what}, got {', '.join(map(repr, modes))}")
+    if first < 0 or last < 0:
+        return DimensionError(f"{kind} mode{s} must be non-negative")
+    if first == last and s:
+        return DimensionError("beamsplitter modes must be distinct")
+    if not (math.isfinite(angles[0]) and math.isfinite(angles[-1])):
+        return NonFiniteError(f"{kind} angle{s} must be finite")
+    return None
+
+
+@dataclass(frozen=True)
+class Beamsplitter:
+    """Two-mode coupler with reflectivity sin(theta)^2 and relative phase phi."""
+
+    mode1: int
+    mode2: int
+    theta: float
+    phi: float
+
+    @property
+    def modes(self) -> tuple[int, int]:
+        return (self.mode1, self.mode2)
+
+    def __post_init__(self):
+        error = element_error(self.modes, (self.theta, self.phi))
+        if error:
+            raise error
+
+
+@dataclass(frozen=True)
+class PhaseShifter:
+    """Single-mode element multiplying the starred amplitude by exp(-i*phi)."""
+
+    mode: int
+    phi: float
+
+    @property
+    def modes(self) -> tuple[int]:
+        return (self.mode,)
+
+    def __post_init__(self):
+        error = element_error(self.modes, (self.phi,))
+        if error:
+            raise error
+
+
+def beamsplitter_matrix(theta, phi) -> np.ndarray:
+    """2x2 map [[cos t, i e^{-i phi} sin t], [i e^{i phi} sin t, cos t]].
+
+    Array angles give a stack of shape ``np.shape(theta) + (2, 2)``.
+    """
+    c = np.cos(theta)
+    i_s = 1j * np.sin(theta)
+    e = np.exp(1j * np.asarray(phi))
+    m = np.empty(np.shape(c) + (2, 2), dtype=complex)
+    m[..., 0, 0] = m[..., 1, 1] = c
+    m[..., 0, 1] = i_s * e.conj()
+    m[..., 1, 0] = i_s * e
+    return m
+
+
+def phaseshifter_factor(phi) -> complex | np.ndarray:
+    """Multiplier exp(-i*phi) applied to the starred amplitude.
+
+    Array angles give an array of factors.
+    """
+    return np.exp(-1j * np.asarray(phi))
 
 
 class Circuit:
@@ -94,7 +174,7 @@ class Circuit:
         self.columns = self.modes, self.coupler, self.theta, self.phi = modes, coupler, theta, phi
 
     @cached_property
-    def elements(self) -> tuple[OpticalElement, ...]:
+    def elements(self) -> tuple[Beamsplitter | PhaseShifter, ...]:
         return tuple(
             Beamsplitter(i, j, t, p) if c else PhaseShifter(i, p)
             for (i, j), c, t, p in zip(*(column.tolist() for column in self.columns))
@@ -106,7 +186,7 @@ class Circuit:
         return self.width == other.width and all(map(np.array_equal, self.columns, other.columns))
 
     def __hash__(self):
-        return hash((self.width, self.elements))
+        return hash((self.width, self.modes.tobytes(), self.coupler.tobytes()))
 
     def __repr__(self):
         return f"Circuit(width={self.width!r}, elements={self.elements!r})"
@@ -189,7 +269,7 @@ def reck_decompose(u, tol: float = linalg.UNITARY_TOL, full_mesh: bool = False) 
     circuit uses at most N(N-1)/2 beamsplitters followed by at most N
     phase shifters and compiles back to ``u`` within ~10*tol.
 
-    Entries already below ``tol`` normally emit nothing; with
+    Entries already at or below ``tol`` normally emit nothing; with
     ``full_mesh=True`` they emit theta=0 couplers instead, so the
     layout is always the complete triangular mesh.
     """

@@ -354,8 +354,17 @@ def test_each_command_prints_the_same_after_the_others(tmp_path, capsys):
         assert (main(argv), capsys.readouterr()) == alone[k]
 
 
-def test_search_rejects_inconsistent_n():
+def test_search_rejects_inconsistent_n(capsys):
+    # search takes no --n: the reference count is len(--refs).
     assert main(["search", "--refs", "1,0;2,0", "--data", "1,0", "--n", "3"]) == 1
+    assert capsys.readouterr() == ("", "error: unrecognized arguments: --n 3\n")
+
+
+@pytest.mark.parametrize("command", [[], ["synth"], ["run"], ["search"], ["qkd"], ["bellcat"]])
+def test_help_prints_to_stdout_and_returns_zero(command, capsys):
+    assert main([*command, "--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(" ".join(["usage: cohcirc", *command])) and err == ""
 
 
 def test_search_rejects_oversized_comparison_scale():
@@ -504,6 +513,11 @@ BAD_INPUTS = {
     "argv38-2": (["bellcat", "--v1=1e50,0,0,2e50", "--v2=1,0.3,-0.7,1", "--alpha=0.3,0"], 2),
     "argv39-2": (["bellcat", "--v1=1e200,0,0,0", "--v2=0,0,1e-200,0", "--alpha=3e-201,0"], 2),
     "run-empty-circuit-file": (["run", "empty_circuit.txt", "huge_input.txt"], 1),
+    # Two writers on one file would interleave their records.
+    "search-out-and-clicks-out-same-file": (
+        SEARCH + ["--trials=3000", "--out=f.csv", "--clicks-out", "./f.csv"],
+        1,
+    ),
 }
 
 
@@ -613,7 +627,7 @@ def test_bad_complex_flag_is_named(command, flag, expected, text, capsys):
 
 @pytest.mark.parametrize(
     "command, text",
-    [("qkd", "0"), ("qkd", "-3"), ("qkd", "2.5"), ("search", "0"), ("search", "-1")],
+    [("qkd", "0"), ("qkd", "-3"), ("qkd", "2.5")],
 )
 def test_bad_count_flag_is_named(command, text, capsys):
     assert main(flags(command, n=text)) == 1

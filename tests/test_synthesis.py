@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,13 @@ from cohcirc import (
     beamsplitter_matrix,
     compile_circuit,
     dilate,
+    is_unitary,
     pad_vacuum,
     random_unitary,
     reck_decompose,
 )
 from cohcirc.errors import ContractionError, DimensionError, NonFiniteError, SynthesisError
-from cohcirc.linalg import max_abs, unitarity_defect
+from cohcirc.linalg import UNITARY_TOL, max_abs, unitarity_defect
 from conftest import psd_root, random_amplitudes, random_circuit, random_contraction
 
 
@@ -336,3 +339,56 @@ def test_circuit_columns_must_be_integer_modes_in_range():
         Circuit(3, (Beamsplitter(0, 2**70, 0.1, 0.2),))
     built = Circuit(3, columns=(np.array([[0, 2], [1, 1]]), [True, False], [0.1, 0.0], [0.2, 0.3]))
     assert built == Circuit(3, (Beamsplitter(0, 2, 0.1, 0.2), PhaseShifter(1, 0.3)))
+
+
+def test_circuits_differing_only_in_the_sign_of_a_zero_angle_are_equal():
+    columns = ([[0, 1], [1, 1]], [True, False], [0.3, 0.0])
+    plus, minus = (Circuit(2, columns=columns + ([phi, 0.5],)) for phi in (0.0, -0.0))
+    assert plus == minus and hash(plus) == hash(minus)
+
+
+# The tolerance gates are inclusive: each test checks the value at the edge
+# and the next double past it on the other side.
+
+
+def test_unitarity_gates_accept_a_defect_equal_to_tol():
+    m = random_unitary(4, np.random.default_rng(50)) * (1 + 1e-12)
+    defect = unitarity_defect(m)
+    assert defect > 0
+    assert is_unitary(m, defect)
+    assert not is_unitary(m, math.nextafter(defect, 0))
+    assert reck_decompose(m, defect).width == 4
+    with pytest.raises(SynthesisError, match="not unitary"):
+        reck_decompose(m, math.nextafter(defect, 0))
+
+
+def test_reck_skips_an_entry_equal_to_tol():
+    a = 1e-10
+    m = np.array([[1, -a], [a, 1]])
+    assert reck_decompose(m, a).beamsplitter_count == 0
+    assert reck_decompose(m, math.nextafter(a, 0)).beamsplitter_count == 1
+
+
+def test_reck_pivot_of_modulus_tol_has_no_phase():
+    b0 = -1e-10
+    m = np.array([[-b0, 1], [1, b0]])  # real orthogonal
+    for tol, phi in ((-b0, np.pi / 2), (math.nextafter(-b0, 0), -np.pi / 2)):
+        circuit = reck_decompose(m, tol)
+        assert circuit.beamsplitter_count == 1 and circuit.phi[0] == phi
+        assert max_abs(compile_circuit(circuit) - m) <= 10 * tol
+
+
+@pytest.mark.parametrize("angle", [1e-11, 3e-7, 0.2])
+def test_reck_drops_a_trailing_phase_within_tol(angle):
+    d = np.exp(1j * angle)
+    m = np.diag([1, d])
+    tol = float(np.abs(np.complex128(d) - 1))  # Python's abs can differ in the last bit
+    assert reck_decompose(m, tol).phase_shifter_count == 0
+    assert reck_decompose(m, math.nextafter(tol, 0)).phase_shifter_count == 1
+
+
+def test_dilate_accepts_a_singular_value_of_sqrt_one_plus_tol():
+    sigma = math.sqrt(1 + UNITARY_TOL)
+    assert dilate([[sigma]]).shape == (2, 2)
+    with pytest.raises(ContractionError):
+        dilate([[math.nextafter(sigma, 2)]])
