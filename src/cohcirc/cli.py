@@ -16,7 +16,6 @@ import contextlib
 import functools
 import itertools
 import math
-import operator
 import os
 import sys
 import warnings
@@ -135,9 +134,43 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one file: by inode (hard links too), by path if one is new."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist yet
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _pattern_keys(clicked: np.ndarray) -> np.ndarray:
+    """Exact bool-row keys: the bits as the narrowest unsigned int, beyond 64 the bytes."""
+    trials, n = clicked.shape
+    if n > 64:
+        return clicked.view(f"V{n}")[:, 0]
+    width = 1 << ((n - 1) // 8).bit_length()  # 1, 2, 4 or 8 bytes
+    bits = np.zeros((trials, 8 * width), bool)  # whole bytes per row: one flat pack
+    bits[:, :n] = clicked
+    return np.packbits(bits).view(f"u{width}")
+
+
+def _records(start: int, pieces: list[str], index: np.ndarray) -> str:
+    """Trial ``start + t``'s records ``str(start + t) + pieces[i]``, i in row t of
+    ``index``.  Trials 10q ... 10q + 9 share the head ``str(q)`` (empty for q = 0),
+    so a decade is one join of its head over its ``digit + piece`` strings."""
+    trials, per_trial = index.shape
+    table = np.array([[d + piece for piece in pieces] for d in "0123456789"], dtype=object)
+    cells = table[((np.arange(trials) + start % 10) % 10)[:, None], index].ravel().tolist()
+    step, end = 10 * per_trial, trials * per_trial
+    edges = [0, *range(step - start % 10 * per_trial, end, step), end]
+    text = []
+    for q, lo, hi in zip(itertools.count(start // 10), edges, edges[1:]):
+        head = str(q) if q else ""
+        text += head, head.join(cells[lo:hi])
+    return "".join(text)
+
+
 def cmd_search(args) -> int:
-    both = args.out and args.clicks_out  # realpath stats every path component
-    if both and os.path.realpath(args.out) == os.path.realpath(args.clicks_out):
+    if args.out and args.clicks_out and _same_file(args.out, args.clicks_out):
         raise ParseError(f"--out and --clicks-out name the same file {args.out!r}")
     if args.seed + args.trials > 2**64:
         raise ParseError(
@@ -154,7 +187,7 @@ def cmd_search(args) -> int:
     row_end = f",{analytic:.12g}\r\n"
     identified = ["", *map(str, range(1, spec.n + 1))]  # 0 is inconclusive
     labels = [str(port + 1) for port in range(1, spec.n + 1)]
-    click_tails = [(f",{label},0\r\n", f",{label},1\r\n") for label in labels]
+    click_tails = [f",{label},{c}\r\n" for label in labels for c in "01"]  # port j, c: 2j + c
 
     with contextlib.ExitStack() as files:
         out, clicks_out = (
@@ -167,25 +200,21 @@ def cmd_search(args) -> int:
             clicks_out.write("trial,port,clicked\r\n")
         successes = 0
         for start in range(0, args.trials, SEARCH_BLOCK):
-            block = range(start, min(start + SEARCH_BLOCK, args.trials))
-            batch = protocols.run_search(spec, args.seed + start, trials=len(block))
+            trials = min(SEARCH_BLOCK, args.trials - start)
+            batch = protocols.run_search(spec, args.seed + start, trials=trials)
             # A row past its trial number depends only on the click pattern, so
-            # each pattern that occurs is formatted once.  Its key is the bool
-            # row viewed as bytes, exact for any number of references.
+            # each pattern that occurs is formatted once.
             _, first, which = np.unique(
-                batch.clicked.view(f"V{spec.n}")[:, 0], return_index=True, return_inverse=True
+                _pattern_keys(batch.clicked), return_index=True, return_inverse=True
             )
-            patterns = batch.clicked[first].tolist()
             suffixes = [
                 f",{identified[k]},{';'.join(itertools.compress(labels, row))}{row_end}"
-                for k, row in zip(batch.identified[first].tolist(), patterns)
+                for k, row in zip(batch.identified[first].tolist(), batch.clicked[first].tolist())
             ]
-            numbers, which = list(map(str, block)), which.tolist()
-            out.write("".join(map(operator.add, numbers, map(suffixes.__getitem__, which))))
+            out.write(_records(start, suffixes, which.reshape(trials, 1)))
             if clicks_out is not None:
-                # trial.join(["", tail_1, ..., tail_n]) is the trial's n records.
-                parts = [["", *(tails[c] for tails, c in zip(click_tails, row))] for row in patterns]
-                clicks_out.write("".join(map(str.join, numbers, map(parts.__getitem__, which))))
+                tail_index = batch.clicked + np.arange(0, 2 * spec.n, 2)
+                clicks_out.write(_records(start, click_tails, tail_index))
             successes += np.count_nonzero(batch.identified == spec.match)
     empirical = successes / args.trials
     print(
@@ -231,49 +260,50 @@ def build_parser() -> argparse.ArgumentParser:
         description="Synthesize linear-optical circuits and propagate coherent amplitudes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}  # name -> subparser: main parses a command with it alone
 
-    p = sub.add_parser("synth", help="decompose a matrix file into a circuit file")
+    def command(name, func, help):
+        p = parser.commands[name] = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("synth", cmd_synth, "decompose a matrix file into a circuit file")
     p.add_argument("matrix", help="input matrix file")
     p.add_argument("out", help="output circuit file")
     p.add_argument("--tol", type=_positive, default=linalg.UNITARY_TOL)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("run", help="apply a circuit file to an amplitudes file")
+    p = command("run", cmd_run, "apply a circuit file to an amplitudes file")
     p.add_argument("circuit", help="circuit file")
     p.add_argument("amplitudes", help="starred amplitudes file")
-    p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("search", help="run seeded database-search trials")
+    p = command("search", cmd_search, "run seeded database-search trials")
     p.add_argument("--refs", type=_complexes, required=True, help="references 're,im;re,im;...'")
     p.add_argument("--data", type=_complex, required=True, help="unknown datum as 're,im'")
     p.add_argument("--c", type=_positive, default=None, help="comparison scale")
     p.add_argument("--trials", type=_positive_count, default=1)
     p.add_argument("--seed", type=_count, default=0)
-    p.add_argument(
-        "--mode", choices=protocols.SEARCH_MODES, default=protocols.DILATION
-    )
+    p.add_argument("--mode", choices=protocols.SEARCH_MODES, default=protocols.DILATION)
     p.add_argument("--out", default=None, help="write result CSV here (default stdout)")
     p.add_argument("--clicks-out", default=None, help="also write per-click CSV here")
-    p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("qkd", help="generate the n phase-encoded key states")
+    p = command("qkd", cmd_qkd, "generate the n phase-encoded key states")
     p.add_argument("--n", type=_positive_count, required=True)
     p.add_argument("--alpha", type=_complex, required=True, help="base amplitude as 're,im'")
-    p.set_defaults(func=cmd_qkd)
 
-    p = sub.add_parser("bellcat", help="check Bell-cat distillation feasibility")
+    p = command("bellcat", cmd_bellcat, "check Bell-cat distillation feasibility")
     p.add_argument("--v1", type=_pair, required=True, help="first component pair 're,im,re,im'")
     p.add_argument("--v2", type=_pair, required=True, help="second component pair 're,im,re,im'")
     p.add_argument("--alpha", type=_complex, required=True, help="target cat amplitude 're,im'")
     p.add_argument("--target", choices=sorted(protocols.BELL_TARGETS), default="B00")
-    p.set_defaults(func=cmd_bellcat)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None  # parses as the top level would
     try:
-        args = parser.parse_args(argv)
+        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # --help printed its text and asked to exit 0
         return exc.code

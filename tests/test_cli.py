@@ -1,5 +1,6 @@
 import os
 import resource
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from cohcirc import (
     search_unitary_explicit,
 )
 from cohcirc.cli import main
+from cohcirc.detection import click_probability
 from cohcirc.formats import read_circuit
 from conftest import format_amplitudes, format_matrix, random_contraction, search_csv_texts
 
@@ -245,6 +247,7 @@ def test_search_click_records(tmp_path):
 
 
 EIGHT_REFS = ";".join(f"{k % 4 / 2},{k // 4 / 2}" for k in range(8))
+TWELVE_REFS = ";".join(f"{k % 4 / 2},{k // 4 / 2}" for k in range(12))  # uint16 keys
 # Ports 3..64 always click and port 2 never does; only ports 65 and 66, the
 # 64th and 65th comparison ports, vary, so keys of 64 bits would merge rows.
 BOUNDARY_REFS = ";".join(["0,0", *(f"{100 + k},0" for k in range(62)), "0,6.8", "6.8,0"])
@@ -256,10 +259,11 @@ BOUNDARY_REFS = ";".join(["0,0", *(f"{100 + k},0" for k in range(62)), "0,6.8", 
         ("0,0;1.5,0;0,1.5", "0,1.5", 20, (cli.SEARCH_BLOCK, 7)),
         ("0,0;1.5,0", "0,0", 100_000, (cli.SEARCH_BLOCK,)),  # 13 blocks
         (EIGHT_REFS, "0,0", 600, (cli.SEARCH_BLOCK, 64)),
+        (TWELVE_REFS, "0,0", 600, (cli.SEARCH_BLOCK, 7, 64)),
         (BOUNDARY_REFS, "0,0", 400, (cli.SEARCH_BLOCK, 64)),
         ("0,0;40,0;0,40", "0,0", 50, (cli.SEARCH_BLOCK,)),  # one click pattern
     ],
-    ids=["3refs", "2refs-13blocks", "8refs", "65refs", "one-pattern"],
+    ids=["3refs", "2refs-13blocks", "8refs", "12refs", "65refs", "one-pattern"],
 )
 def test_search_blocks_keep_per_trial_records(refs, data, trials, blocks, tmp_path, monkeypatch):
     argv = ["search", "--refs", refs, "--data", data, "--trials", str(trials), "--seed", "3"]
@@ -314,8 +318,81 @@ def test_search_csv_bytes_are_pinned(tmp_path, capsys):
     assert capsys.readouterr() == (PINNED_TRIALS, PINNED_SUMMARY)
 
 
+@pytest.mark.parametrize("per_trial", [1, 2, 3])
+def test_records_equal_one_string_per_record(per_trial):
+    # Decade heads must hold across every residue, partial decades and carries.
+    rng = np.random.default_rng(per_trial)
+    pieces = [f",{k},piece\r\n" for k in range(5)]
+    edges = (10, 100, 10**6, 2**63)
+    starts = [*range(20), 1230, 1237, *(edge - k for edge in edges for k in (1, 3, 9))]
+    for start in starts:
+        for trials in range(1, 24):
+            index = rng.integers(0, len(pieces), (trials, per_trial))
+            rows = enumerate(index.tolist(), start)
+            naive = "".join(str(trial) + pieces[i] for trial, row in rows for i in row)
+            assert cli._records(start, pieces, index) == naive, (start, trials)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 12, 16, 17, 33, 64, 65, 70])
+def test_pattern_keys_are_equal_exactly_when_rows_are(n):
+    rng = np.random.default_rng(n)
+    rows = rng.random((400, n)) < 0.5
+    rows[200:] = rows[rng.integers(0, 200, 200)]  # repeats, then one-bit neighbours
+    rows[np.arange(300, 400), rng.integers(0, n, 100)] ^= True
+    keys = cli._pattern_keys(rows)
+    assert keys.shape == (400,)
+    if n <= 64:  # the narrowest of 1, 2, 4 and 8 bytes
+        assert keys.dtype.kind == "u"
+        assert keys.dtype.itemsize == min(b for b in (1, 2, 4, 8) if 8 * b >= n)
+    _, by_key = np.unique(keys, return_inverse=True)
+    _, by_row = np.unique(rows, axis=0, return_inverse=True)
+    pairs = set(zip(by_key.tolist(), by_row.ravel().tolist()))
+    assert len(pairs) == by_key.max() + 1 == by_row.max() + 1
+
+
+def test_seed_gate_edges(tmp_path, capsys):
+    refs = "0,0;1.5,0;0,1.5"
+    argv = ["search", "--refs", refs, "--data", "0,0", "--trials", "5"]
+    assert main(argv) == 0
+    implicit = capsys.readouterr()
+    assert main(argv + ["--seed", "0"]) == 0
+    assert capsys.readouterr() == implicit
+    # seed + trials = 2**64: the last trial's seed is 2**64 - 1.
+    seed, clicks = 2**64 - 5, tmp_path / "clicks.csv"
+    assert main(argv + [f"--seed={seed}", "--out", "/dev/null", "--clicks-out", str(clicks)]) == 0
+    spec = SearchSpec(tuple(map(cli.parse_complex, refs.split(";"))), 0)
+    p = [click_probability(b) for b in spec.outputs[1 : spec.n + 1]]
+    expected = [
+        f"{t},{port + 2},{int(c)}"
+        for t in range(5)
+        for port, c in enumerate(np.random.default_rng(seed + t).random(spec.n) < p)
+    ]
+    assert clicks.read_text().splitlines()[1:] == expected
+    capsys.readouterr()
+    assert main(argv + [f"--seed={seed + 1}"]) == 1
+    assert capsys.readouterr() == (
+        "",
+        f"error: --seed {seed + 1} with --trials 5 needs seeds beyond 2**64 - 1\n",
+    )
+
+
 def test_parser_is_built_once_per_process():
     assert cli.build_parser() is cli.build_parser()
+
+
+def test_a_named_command_is_parsed_once(monkeypatch, capsys):
+    calls = []
+    parsers = {"top": cli.build_parser(), **cli.build_parser().commands}
+    for name, parser in parsers.items():
+        def counted(*args, _parse=parser.parse_known_args, _name=name):
+            calls.append(_name)
+            return _parse(*args)
+
+        monkeypatch.setattr(parser, "parse_known_args", counted)
+    assert main(["qkd", "--n", "2", "--alpha", "1,0"]) == 0
+    assert main(SEARCH) == 0
+    assert main(["bogus"]) == 1
+    assert calls == ["qkd", "search", "top"]
 
 
 def test_reused_parser_keeps_its_defaults():
@@ -536,6 +613,45 @@ def test_bad_input_exits_with_one_error_line(argv, code, tmp_path, monkeypatch, 
     pairs = [arg.partition("=") for arg in argv]
     outputs += [value for flag, eq, value in pairs if eq and flag in flags]
     assert not any((tmp_path / path).exists() for path in outputs)
+
+
+ANALYTIC = "analytic_success=0.283469"  # of SEARCH
+COMMANDS = "(choose from 'synth', 'run', 'search', 'qkd', 'bellcat')"
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        ([], 1, ["error: the following arguments are required: command"]),
+        (["bogus"], 1, [f"error: argument command: invalid choice: 'bogus' {COMMANDS}"]),
+        (["--version"], 1, ["error: the following arguments are required: command"]),
+        (SEARCH + ["--tri", "3"], 0, ["trials=3 empirical_success=0.333333 " + ANALYTIC]),
+    ],
+    ids=["no-argv", "unknown-command", "top-level-flag", "abbreviated-flag"],
+)
+def test_top_level_and_abbreviation_lines_are_pinned(argv, code, err, capsys):
+    # Only argv that names no subcommand reaches the top-level parser.
+    assert main(argv) == code
+    assert capsys.readouterr().err.splitlines() == err
+
+
+@pytest.mark.parametrize(
+    "second, code",
+    [(os.link, 1), (os.symlink, 1), (shutil.copyfile, 0)],
+    ids=["hard-link", "symlink", "copy"],
+)
+def test_search_refuses_two_names_of_one_file(second, code, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("a.csv").write_text("kept\n")
+    second("a.csv", "b.csv")
+    assert main(SEARCH + ["--trials=3000", "--out=a.csv", "--clicks-out", "b.csv"]) == code
+    if code:
+        err = "error: --out and --clicks-out name the same file 'a.csv'\n"
+        assert capsys.readouterr() == ("", err)
+        assert Path("a.csv").read_text() == "kept\n"
+    else:  # two files: each gets its own CSV
+        assert Path("a.csv").read_text().startswith("trial,identified,")
+        assert Path("b.csv").read_text().startswith("trial,port,clicked")
 
 
 @pytest.mark.parametrize(
