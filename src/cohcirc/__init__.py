@@ -10,14 +10,15 @@ database search, and Bell-cat feasibility checking.
 from types import ModuleType as _ModuleType
 
 from .detection import click_probability, sample_clicks
-from .engine import (
-    apply_circuit,
+from .errors import ContractionError, DimensionError, SynthesisError
+from .linalg import (
     apply_matrix,
+    is_unitary,
     mean_photon_number,
     pad_vacuum,
+    random_unitary,
+    spectral_norm,
 )
-from .errors import ContractionError, DimensionError, SynthesisError
-from .linalg import is_unitary, random_unitary, spectral_norm
 from .protocols import (
     BellcatResult,
     SearchOutcome,
@@ -39,6 +40,7 @@ from .synthesis import (
     Beamsplitter,
     Circuit,
     PhaseShifter,
+    apply_circuit,
     beamsplitter_matrix,
     compile_circuit,
     dilate,

@@ -20,8 +20,8 @@ import operator
 
 import numpy as np
 
-from .engine import as_amplitudes
 from .errors import NonFiniteError
+from .linalg import as_amplitudes
 
 
 def click_probability(beta: complex) -> float:

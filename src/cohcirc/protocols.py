@@ -1,14 +1,14 @@
-"""The three worked applications built on synthesis + engine + detection:
+"""The three worked applications built on linalg + synthesis + detection:
 
 * phase-state generation and attenuation ladders for phase-encoded keys,
 * restorable database search by interferometric state comparison,
 * feasibility of distilling Bell-cat states from raw entangled pairs.
 
-Protocol functions return starred amplitude vectors (engine convention);
-conjugate for physical values.  The comparison and identification maps
-below are written directly on starred amplitudes; the discrete Fourier
-transform is specified on physical amplitudes and is conjugated before
-being handed to the engine.
+Protocol functions return starred amplitude vectors (the convention of
+:mod:`cohcirc.synthesis`); conjugate for physical values.  The comparison
+and identification maps below are written directly on starred amplitudes;
+the discrete Fourier transform is specified on physical amplitudes and is
+conjugated before it is synthesized.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .detection import click_probability, sample_clicks
-from .engine import apply_circuit, apply_matrix, pad_vacuum
 from .errors import ContractionError, DimensionError, NonFiniteError, SynthesisError
-from .synthesis import _INTEGER, Circuit, dilate, reck_decompose
+from .linalg import apply_matrix, pad_vacuum
+from .synthesis import _INTEGER, Circuit, apply_circuit, dilate, reck_decompose
 
 DILATION = "dilation"
 EXPLICIT = "explicit"

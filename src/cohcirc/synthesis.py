@@ -5,13 +5,15 @@ block dilation of contractions.
 Element matrices M map starred (conjugated) coherent amplitudes, which for
 both elements transform as creation operators do in the Heisenberg picture,
 a_i^dag -> sum_j M_ij a_j^dag; physical and single-photon amplitudes take
-conj(M).  Modes are 0-based in code; 1-based port labels appear only in
-CLI output.
+conj(M).  A map written for physical amplitudes is conjugated entrywise
+before it is applied: if b* = M a* then b = M* a.  Modes are 0-based in
+code; 1-based port labels appear only in CLI output.
 
 A :class:`Circuit` holds its elements as columns, one row per element in
 physical order.  It is lowered once into layers of elements on disjoint
 modes, and one kernel, :func:`propagate`, applies the layers to a vector
-or a block; ``compile_circuit`` is that kernel applied to the identity.
+or a block; ``apply_circuit`` is that kernel applied to a checked amplitude
+vector and ``compile_circuit`` that kernel applied to the identity.
 
 :func:`reck_decompose` nulls a row in closed form.  Nulling entry ``a_k``
 against the pivot keeps the pivot's phase ``arg b_0`` (taken as 0 when
@@ -35,6 +37,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ContractionError, DimensionError, NonFiniteError, SynthesisError
+from .linalg import _finite, as_amplitudes
 
 
 # Modes, circuit widths and DFT sizes index or shape arrays, so they must
@@ -254,6 +257,16 @@ def propagate(circuit: Circuit, x) -> np.ndarray:
     return out
 
 
+def apply_circuit(circuit: Circuit, amplitudes) -> np.ndarray:
+    """Layer-by-layer propagation; equals apply_matrix(compile(c), a)."""
+    vec = as_amplitudes(amplitudes)
+    if circuit.width != vec.shape[0]:
+        raise DimensionError(
+            f"circuit width {circuit.width} does not match vector width {vec.shape[0]}"
+        )
+    return _finite("propagated amplitudes", propagate, circuit, vec)
+
+
 def compile_circuit(circuit: Circuit) -> np.ndarray:
     """The circuit's matrix: :func:`propagate` applied to the identity."""
     return propagate(circuit, np.eye(circuit.width, dtype=complex))
@@ -273,6 +286,7 @@ def reck_decompose(u, tol: float = linalg.UNITARY_TOL, full_mesh: bool = False) 
     ``full_mesh=True`` they emit theta=0 couplers instead, so the
     layout is always the complete triangular mesh.
     """
+    linalg.check_tol(tol)
     w = linalg.as_matrix(u)
     n = w.shape[0]
     if w.shape[0] != w.shape[1]:
@@ -347,6 +361,7 @@ def dilate(k, tol: float = linalg.UNITARY_TOL) -> np.ndarray:
     :class:`ContractionError` unless K's largest singular value is at most
     sqrt(1 + tol), so that the result is unitary within tol.
     """
+    linalg.check_tol(tol)
     kk = linalg.as_matrix(k)
     # Both complement roots come from one SVD of K; computing them with two
     # independent eigendecompositions breaks the exchange identity

@@ -1,5 +1,8 @@
+import math
 import os
+import re
 import resource
+import shlex
 import shutil
 import subprocess
 import sys
@@ -12,13 +15,16 @@ from cohcirc import (
     SearchSpec,
     cli,
     comparison_map,
+    compile_circuit,
     random_unitary,
+    reck_decompose,
     run_search,
     search_unitary_explicit,
 )
 from cohcirc.cli import main
 from cohcirc.detection import click_probability
-from cohcirc.formats import read_circuit
+from cohcirc.formats import read_circuit, read_matrix
+from cohcirc.linalg import max_abs
 from conftest import format_amplitudes, format_matrix, random_contraction, search_csv_texts
 
 
@@ -528,6 +534,8 @@ BAD_INPUT_FILES = {
     "no_modes.txt": "n=0\n",
     "three_numbers.txt": "n=1\n1 2 3\n",
     "empty_circuit.txt": "",
+    "shear.txt": "2 2\n1 0 0.3 0\n0 0 1 0\n",  # largest singular value 1.161
+    "amplifier.txt": "2 2\n2 0 0 0\n0 0 0.5 0\n",
 }
 
 
@@ -595,6 +603,10 @@ BAD_INPUTS = {
         SEARCH + ["--trials=3000", "--out=f.csv", "--clicks-out", "./f.csv"],
         1,
     ),
+    # A tolerance past linalg.MAX_TOL decided these verdicts: both were
+    # realized as the identity, with exit 0.
+    "synth-shear-tol-above-cap": (["synth", "shear.txt", "out.txt", "--tol", "0.5"], 1),
+    "synth-amplifier-tol-above-cap": (["synth", "amplifier.txt", "out.txt", "--tol=5"], 1),
 }
 
 
@@ -812,6 +824,66 @@ def test_synth_rejects_bad_tolerance(tmp_path, capsys, tol):
     assert len(err) == 1 and err[0].startswith("error: argument --tol"), err
 
 
+TOL_ABOVE_CAP = "error: argument --tol: expected a positive number at most 0.25, got "
+
+
+@pytest.mark.parametrize(
+    "row, err",
+    [
+        ("synth-shear-tol-above-cap", TOL_ABOVE_CAP + "'0.5'"),
+        ("synth-amplifier-tol-above-cap", TOL_ABOVE_CAP + "'5'"),
+    ],
+    ids=["shear", "amplifier"],
+)
+def test_tolerance_above_the_cap_lines_are_pinned(row, err, tmp_path, monkeypatch, capsys):
+    argv, code = BAD_INPUTS[row]
+    for name, text in BAD_INPUT_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    assert capsys.readouterr() == ("", err + "\n")
+    assert not (tmp_path / "out.txt").exists()
+
+
+def test_synth_tolerance_cap_is_inclusive(tmp_path, capsys):
+    matrix_file = tmp_path / "m.txt"
+    matrix_file.write_text(format_matrix(np.eye(2)))
+    argv = ["synth", str(matrix_file), str(tmp_path / "c.txt")]
+    assert main(argv + ["--tol=0.25"]) == 0
+    capsys.readouterr()
+    past = repr(math.nextafter(0.25, 1))
+    assert main(argv + [f"--tol={past}"]) == 1
+    assert capsys.readouterr().err == f"{TOL_ABOVE_CAP}{past!r}\n"
+
+
+def test_synth_exits_2_when_its_residual_exceeds_the_gate(tmp_path, monkeypatch, capsys):
+    # A power-of-two tol scales exactly, so ``RESIDUAL_TOLS * tol`` can equal
+    # the residual to the last bit.
+    tol = 2.0**-20
+    target = (1 + 2.0**-25) * np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+    matrix_file, circuit_file = tmp_path / "m.txt", tmp_path / "c.txt"
+    matrix_file.write_text(format_matrix(target))
+    matrix = read_matrix(matrix_file)
+    residual = max_abs(compile_circuit(reck_decompose(matrix, tol)) - matrix)
+    assert 0 < residual <= tol
+    argv = ["synth", str(matrix_file), str(circuit_file), f"--tol={tol!r}"]
+    monkeypatch.setattr(cli, "RESIDUAL_TOLS", residual / tol)
+    assert main(argv) == 0
+    assert f"route=unitary modes=2 beamsplitters=1 phase_shifters=1 residual={residual:.3e}" in (
+        capsys.readouterr().out
+    )
+    circuit_file.unlink()
+    factor = math.nextafter(residual / tol, 0)
+    monkeypatch.setattr(cli, "RESIDUAL_TOLS", factor)
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"error: the circuit misses its target by {residual:.3e}, "
+        f"more than {factor} times --tol {tol:g}\n",
+    )
+    assert not circuit_file.exists()
+
+
 def test_search_matches_datum_within_tolerance(capsys):
     assert main(["search", "--refs", "0.30000000000000004,0;1,0", "--data", "0.3,0"]) == 0
     assert "analytic_success=0.150692" in capsys.readouterr().err
@@ -857,3 +929,26 @@ def test_bellcat_inputs_far_apart_in_scale(capsys):
     captured = capsys.readouterr()
     assert captured.out.startswith("infeasible (no contraction maps")
     assert captured.err == ""
+
+
+def test_readme_cli_block_runs_as_processes(tmp_path):
+    # Each ``cohcirc ...`` line of the README's CLI block, as its own process
+    # on the README's 2x2 matrix example; exit 2 where its comment says so.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    cli_section = readme.split("\n## CLI\n", 1)[1]
+    block = re.search(r"^```sh\n(.*?)^```", cli_section, re.M | re.S).group(1)
+    matrix = re.search(r"^Matrix:.*?^```\n(.*?)^```", cli_section, re.M | re.S).group(1)
+    (tmp_path / "matrix.txt").write_text(matrix)
+    (tmp_path / "amplitudes.txt").write_text("n=2\n1 0\n0 0.5\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    lines = block.splitlines()
+    assert [line.split()[1] for line in lines] == ["synth", "run", "qkd", "search", "bellcat"]
+    for line in lines:
+        words = shlex.split(line, comments=True)
+        assert words[0] == "cohcirc", line
+        expected = re.search(r"# exit (\d)", line)
+        argv = [sys.executable, "-m", "cohcirc.cli", *words[1:]]
+        done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert done.returncode == (int(expected.group(1)) if expected else 0), (line, done.stderr)
+    assert (tmp_path / "circuit.txt").exists() and (tmp_path / "trials.csv").exists()

@@ -5,7 +5,7 @@ space as exp(-i H), with H = sum_ij h_ij a_i^dag a_j, and sends the
 coherent product state |alpha> to |S alpha>.  H conserves the total photon
 number, so exp(-i H) is built with ``eigh`` one photon-number block at a
 time, and no truncation enters.  Each element's h comes from its
-parameters alone.  The engine maps starred amplitudes by the element
+parameters alone.  The package maps starred amplitudes by the element
 matrix M, so physical amplitudes and the single-photon block must
 transform by S = conj(M): the paper's correspondence.
 """

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from cohcirc import is_unitary, random_unitary, spectral_norm
+from cohcirc import dilate, is_unitary, random_unitary, reck_decompose, spectral_norm
 from cohcirc.errors import DimensionError
-from cohcirc.linalg import as_matrix, unitarity_defect
+from cohcirc.linalg import MAX_TOL, as_matrix, check_tol, unitarity_defect
 
 
 def comparison_matrix(c: float) -> np.ndarray:
@@ -68,3 +70,29 @@ def test_unitarity_defect_scale():
     u = random_unitary(6, np.random.default_rng(5))
     assert unitarity_defect(u) <= 1e-13
     assert unitarity_defect(1.001 * u) > 1e-10
+
+
+# One check bounds every tolerance: [0, MAX_TOL], both ends inclusive.
+
+
+@pytest.mark.parametrize("tol", [0.0, MAX_TOL])
+def test_every_tolerance_check_accepts_the_ends_of_the_range(tol):
+    assert check_tol(tol) == tol
+    assert is_unitary(np.eye(2), tol)
+    assert reck_decompose(np.eye(2), tol).width == 2
+    assert dilate([[1.0]], tol).shape == (2, 2)
+
+
+@pytest.mark.parametrize(
+    "tol", [math.nextafter(MAX_TOL, 1), math.nextafter(0.0, -1), math.nan, math.inf]
+)
+def test_every_tolerance_check_rejects_a_value_past_the_range(tol):
+    message = rf"tolerance must lie in \[0, 0.25\], got {tol!r}"
+    for check in (
+        check_tol,
+        lambda tol: is_unitary(np.eye(2), tol),
+        lambda tol: reck_decompose(np.eye(2), tol),
+        lambda tol: dilate([[1.0]], tol),
+    ):
+        with pytest.raises(ValueError, match=message):
+            check(tol)

@@ -844,3 +844,70 @@ def test_bellcat_takes_no_inverse_and_no_svd(monkeypatch):
 def test_bellcat_rejects_three_mode_vectors():
     with pytest.raises(DimensionError):
         bellcat_feasibility((1.0, 0.0, 0.0), (0.0, 1.0), 0.1)
+
+
+# Each protocol gate at its last accepted double and its first rejected one.
+
+
+def test_search_scale_gate_accepts_c_max_plus_1e12():
+    edge = max_comparison_scale(2) + 1e-12
+    assert SearchSpec((0, 1), 0, c=edge).c == edge
+    assert SearchSpec((0, 1), 0, c=-edge).c == -edge
+    with pytest.raises(ContractionError, match="exceeds the contraction bound"):
+        SearchSpec((0, 1), 0, c=math.nextafter(edge, 1))
+
+
+def test_explicit_mode_scale_gate_edge():
+    # scale - 1/sqrt(3) is exact, a multiple of 2**-53, so it never equals
+    # 1e-12: the edge is the smallest scale within 1e-12 of 1/sqrt(3).
+    c2 = max_comparison_scale(2)
+    edge = c2 - 1e-12
+    while abs(edge - c2) > 1e-12:
+        edge = math.nextafter(edge, 1)
+    while abs(math.nextafter(edge, 0) - c2) <= 1e-12:
+        edge = math.nextafter(edge, 0)
+    assert SearchSpec((0, 1), 0, c=edge, mode=EXPLICIT).c == edge
+    with pytest.raises(SynthesisError, match="fixes the comparison scale"):
+        SearchSpec((0, 1), 0, c=math.nextafter(edge, 0), mode=EXPLICIT)
+
+
+def test_bellcat_dependence_gate_edge(monkeypatch):
+    # The rows of w are v1 and v2 themselves, of norm 0.5 each, and
+    # det[v1 v2] = 2**-42, so the gate sits exactly at a tolerance of 2**-40.
+    v1, v2 = (0.5, 0), (0.5, 2.0**-41)
+    monkeypatch.setattr(protocols, "_DEPENDENCE_TOL", 2.0**-40)
+    dependent = bellcat_feasibility(v1, v2, 0.1)  # parallel, not anti-parallel
+    assert (dependent.feasible, dependent.max_alpha) == (False, 0.0)
+    monkeypatch.setattr(protocols, "_DEPENDENCE_TOL", math.nextafter(2.0**-40, 0))
+    independent = bellcat_feasibility(v1, v2, 0.1)
+    assert not independent.feasible and independent.max_alpha > 0
+
+
+def test_bellcat_anti_parallel_gate_edge(monkeypatch):
+    # det[v1 v2] = 0, and |v1 + v2| = 2**-42 = 2**-41 max(|v1|, |v2|) exactly.
+    v1, v2 = (0.5 - 2.0**-42, 0), (-0.5, 0)
+    monkeypatch.setattr(protocols, "_DEPENDENCE_TOL", 2.0**-41)
+    anti = bellcat_feasibility(v1, v2, 0.1)
+    assert anti.feasible and anti.max_alpha == pytest.approx(0.5 / math.sqrt(2))
+    monkeypatch.setattr(protocols, "_DEPENDENCE_TOL", math.nextafter(2.0**-41, 0))
+    parallel = bellcat_feasibility(v1, v2, 0.1)
+    assert (parallel.feasible, parallel.max_alpha) == (False, 0.0)
+
+
+def test_bellcat_feasibility_slack_edge():
+    max_alpha = bellcat_feasibility((1, 0), (0, 1), 0.4).max_alpha
+    edge = max_alpha * (1.0 + protocols._FEASIBILITY_SLACK)
+    assert edge > max_alpha
+    assert bellcat_feasibility((1, 0), (0, 1), edge).feasible
+    assert not bellcat_feasibility((1, 0), (0, 1), math.nextafter(edge, 1)).feasible
+
+
+def test_bellcat_residual_limit_edge(monkeypatch):
+    v1, v2 = (1, 0.3), (0.2, 1)
+    residual = bellcat_feasibility(v1, v2, 0.1).kernel_residual
+    assert 0 < residual <= protocols._RESIDUAL_LIMIT
+    monkeypatch.setattr(protocols, "_RESIDUAL_LIMIT", residual)
+    assert bellcat_feasibility(v1, v2, 0.1).kernel_residual == residual
+    monkeypatch.setattr(protocols, "_RESIDUAL_LIMIT", math.nextafter(residual, 0))
+    with pytest.raises(SynthesisError, match="no double-precision map meets both"):
+        bellcat_feasibility(v1, v2, 0.1)
