@@ -1,11 +1,8 @@
 """Command-line front end.
 
-Subcommands: synth, run, search, qkd, bellcat.  Complex flags are
-"re,im" pairs; lists of complexes are semicolon-separated (use
---flag=value for values starting with a minus sign).  Circuit files
-keep the 0-based internal mode indices; printed port labels and CSV
-port columns are 1-based.  Exit codes: 0 success, 1 parse/IO error,
-2 domain error or out of memory.
+Subcommands synth, run, search, qkd and bellcat; every text format lives
+in ``formats``.  Exit codes: 0 success, 1 parse/IO error, 2 domain error
+or out of memory.
 """
 
 from __future__ import annotations
@@ -14,7 +11,6 @@ import argparse
 import cmath
 import contextlib
 import functools
-import itertools
 import math
 import os
 import sys
@@ -22,15 +18,9 @@ import warnings
 
 import numpy as np
 
-from . import linalg, protocols
+from . import formats, linalg, protocols
 from .errors import ContractionError, DimensionError, NonFiniteError, SynthesisError
-from .formats import (
-    ParseError,
-    read_amplitudes,
-    read_circuit,
-    read_matrix,
-    write_circuit,
-)
+from .formats import ParseError, read_amplitudes, read_circuit, read_matrix, write_circuit
 from .linalg import mean_photon_number
 from .synthesis import apply_circuit, compile_circuit, dilate, reck_decompose
 
@@ -73,8 +63,8 @@ def _flag_type(convert, accept, expected: str):
     return parse
 
 
-def _finite(values) -> bool:
-    return all(map(cmath.isfinite, values))
+def _nonempty_finite(values) -> bool:
+    return bool(values) and all(map(cmath.isfinite, values))
 
 
 def _complex_list(text: str) -> tuple[complex, ...]:
@@ -95,18 +85,8 @@ _tol = _flag_type(
     f"a positive number at most {linalg.MAX_TOL:g}",
 )
 _complex = _flag_type(parse_complex, cmath.isfinite, "a finite complex number 're,im'")
-_complexes = _flag_type(
-    _complex_list, lambda v: v and _finite(v), "';'-separated finite 're,im' pairs"
-)
-_pair = _flag_type(_complex_pair, _finite, "four finite numbers 're,im,re,im'")
-
-
-def _print_amplitudes(out, starred: np.ndarray) -> None:
-    lines = ["port  starred(re im)                    physical(re im)"]
-    for port, z in enumerate(starred.tolist(), 1):
-        p = z.conjugate()
-        lines.append(f"{port:>4}  {z.real:+.12e} {z.imag:+.12e}  {p.real:+.12e} {p.imag:+.12e}")
-    out.write("\n".join(lines) + "\n")
+_complexes = _flag_type(_complex_list, _nonempty_finite, "';'-separated finite 're,im' pairs")
+_pair = _flag_type(_complex_pair, _nonempty_finite, "four finite numbers 're,im,re,im'")
 
 
 def cmd_synth(args) -> int:
@@ -129,10 +109,8 @@ def cmd_synth(args) -> int:
         )
     write_circuit(args.out, circuit)
     lines.append(
-        f"route={route} modes={circuit.width} "
-        f"beamsplitters={circuit.beamsplitter_count} "
-        f"phase_shifters={circuit.phase_shifter_count} "
-        f"residual={residual:.3e}"
+        f"route={route} modes={circuit.width} beamsplitters={circuit.beamsplitter_count} "
+        f"phase_shifters={circuit.phase_shifter_count} residual={residual:.3e}"
     )
     print("\n".join(lines))
     return 0
@@ -142,9 +120,8 @@ def cmd_run(args) -> int:
     circuit = read_circuit(args.circuit)
     amplitudes = read_amplitudes(args.amplitudes)
     out = apply_circuit(circuit, amplitudes)
-    before = mean_photon_number(amplitudes)
-    after = mean_photon_number(out)
-    _print_amplitudes(sys.stdout, out)
+    before, after = mean_photon_number(amplitudes), mean_photon_number(out)
+    sys.stdout.write(formats.amplitude_table(out))
     print(f"photon number: in={before:.12g} out={after:.12g}")
     return 0
 
@@ -155,33 +132,6 @@ def _same_file(a: str, b: str) -> bool:
         return os.path.samefile(a, b)
     except OSError:  # one of them does not exist yet
         return os.path.realpath(a) == os.path.realpath(b)
-
-
-def _pattern_keys(clicked: np.ndarray) -> np.ndarray:
-    """Exact bool-row keys: the bits as the narrowest unsigned int, beyond 64 the bytes."""
-    trials, n = clicked.shape
-    if n > 64:
-        return clicked.view(f"V{n}")[:, 0]
-    width = 1 << ((n - 1) // 8).bit_length()  # 1, 2, 4 or 8 bytes
-    bits = np.zeros((trials, 8 * width), bool)  # whole bytes per row: one flat pack
-    bits[:, :n] = clicked
-    return np.packbits(bits).view(f"u{width}")
-
-
-def _records(start: int, pieces: list[str], index: np.ndarray) -> str:
-    """Trial ``start + t``'s records ``str(start + t) + pieces[i]``, i in row t of
-    ``index``.  Trials 10q ... 10q + 9 share the head ``str(q)`` (empty for q = 0),
-    so a decade is one join of its head over its ``digit + piece`` strings."""
-    trials, per_trial = index.shape
-    table = np.array([[d + piece for piece in pieces] for d in "0123456789"], dtype=object)
-    cells = table[((np.arange(trials) + start % 10) % 10)[:, None], index].ravel().tolist()
-    step, end = 10 * per_trial, trials * per_trial
-    edges = [0, *range(step - start % 10 * per_trial, end, step), end]
-    text = []
-    for q, lo, hi in zip(itertools.count(start // 10), edges, edges[1:]):
-        head = str(q) if q else ""
-        text += head, head.join(cells[lo:hi])
-    return "".join(text)
 
 
 def cmd_search(args) -> int:
@@ -199,41 +149,25 @@ def cmd_search(args) -> int:
     for w in caught:  # coincident references warn only on an accepted search
         print(f"warning: {w.message}", file=sys.stderr)
     analytic = protocols.analytic_success_probability(spec)
-    row_end = f",{analytic:.12g}\r\n"
-    identified = ["", *map(str, range(1, spec.n + 1))]  # 0 is inconclusive
-    labels = [str(port + 1) for port in range(1, spec.n + 1)]
-    click_tails = [f",{label},{c}\r\n" for label in labels for c in "01"]  # port j, c: 2j + c
-
     with contextlib.ExitStack() as files:
         out, clicks_out = (
             files.enter_context(open(path, "w", newline="", encoding="utf-8")) if path else None
             for path in (args.out, args.clicks_out)
         )
         out = out or sys.stdout
-        out.write("trial,identified,clicked_ports,p_succ_analytic\r\n")
+        out.write(formats.SEARCH_HEADER)
         if clicks_out is not None:
-            clicks_out.write("trial,port,clicked\r\n")
+            clicks_out.write(formats.CLICKS_HEADER)
         successes = 0
         for start in range(0, args.trials, SEARCH_BLOCK):
             trials = min(SEARCH_BLOCK, args.trials - start)
             batch = protocols.run_search(spec, args.seed + start, trials=trials)
-            # A row past its trial number depends only on the click pattern, so
-            # each pattern that occurs is formatted once.
-            _, first, which = np.unique(
-                _pattern_keys(batch.clicked), return_index=True, return_inverse=True
-            )
-            suffixes = [
-                f",{identified[k]},{';'.join(itertools.compress(labels, row))}{row_end}"
-                for k, row in zip(batch.identified[first].tolist(), batch.clicked[first].tolist())
-            ]
-            out.write(_records(start, suffixes, which.reshape(trials, 1)))
+            out.write(formats.search_rows(start, batch.identified, batch.clicked, analytic))
             if clicks_out is not None:
-                tail_index = batch.clicked + np.arange(0, 2 * spec.n, 2)
-                clicks_out.write(_records(start, click_tails, tail_index))
+                clicks_out.write(formats.click_rows(start, batch.clicked))
             successes += np.count_nonzero(batch.identified == spec.match)
-    empirical = successes / args.trials
     print(
-        f"trials={args.trials} empirical_success={empirical:.6f} "
+        f"trials={args.trials} empirical_success={successes / args.trials:.6f} "
         f"analytic_success={analytic:.6f}",
         file=sys.stderr if not args.out else sys.stdout,
     )
@@ -241,8 +175,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_qkd(args) -> int:
-    starred = protocols.generate_phase_states(args.n, args.alpha)
-    _print_amplitudes(sys.stdout, starred)
+    sys.stdout.write(formats.amplitude_table(protocols.generate_phase_states(args.n, args.alpha)))
     return 0
 
 
@@ -250,8 +183,7 @@ def cmd_bellcat(args) -> int:
     result = protocols.bellcat_feasibility(args.v1, args.v2, args.alpha, args.target)
     if result.feasible:
         print("feasible")
-        k = result.contraction
-        for row in k:
+        for row in result.contraction:
             print("  " + "  ".join(f"{z.real:+.12g}{z.imag:+.12g}j" for z in row))
         print(f"max_alpha={result.max_alpha:.12g}")
         print(f"kernel_residual={result.kernel_residual:.3e}")

@@ -1,14 +1,22 @@
-"""Text file formats shared by the CLI.
+"""Every text format of the package: files read and written, and printed tables.
 
-Matrix:      first line "rows cols", then rows*cols entries as "re im"
-             pairs separated by whitespace, row-major; scientific
-             notation is accepted.
+Matrix:      first line "rows cols", then rows*cols "re im" pairs,
+             whitespace-separated and row-major; scientific notation is accepted.
 Amplitudes:  first line "n=<width>", then one "re im" line per starred
              amplitude.
 Circuit:     first line "width=<n>", then one element per line in
              application order, either "BS <i> <j> <theta> <phi>" or
              "PS <i> <phi>".  Modes are 0-based, angles in radians and
              written with 17 significant digits.
+Amplitude table (``run`` and ``qkd``): a header, then per port the
+             1-based port right-aligned in 4 columns and the starred and
+             physical (conjugate) amplitudes as "re im", each ``+.12e``.
+Search CSV:  "trial,identified,clicked_ports,p_succ_analytic" rows and
+             "trial,port,clicked" records, each line ending in "\r\n".
+             Trials count from 0; ``identified`` is the 1-based
+             reference, empty when inconclusive; ports are 1-based, the
+             comparison ports 2 ... n + 1 (``clicked_ports`` joins those
+             that clicked with ";"); ``clicked`` is 0 or 1.
 
 The last circuit text this process wrote with :func:`write_circuit` or
 parsed with :func:`parse_circuit` is kept with its :class:`Circuit`, and
@@ -19,6 +27,8 @@ Treat a returned circuit as read-only: it may be shared.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -70,8 +80,7 @@ def parse_matrix(text: str) -> np.ndarray:
     values = np.array(_numbers(float, tokens, "matrix entry"))
     # Checked before combining: 1j * inf would warn about an invalid product.
     _check_finite(values, "matrix")
-    flat = values[0::2] + 1j * values[1::2]
-    return flat.reshape(rows, cols)
+    return (values[0::2] + 1j * values[1::2]).reshape(rows, cols)
 
 
 def parse_amplitudes(text: str) -> np.ndarray:
@@ -157,3 +166,62 @@ def write_circuit(path, circuit: Circuit) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     _last_circuit = text, circuit
+
+
+def amplitude_table(starred: np.ndarray) -> str:
+    lines = ["port  starred(re im)                    physical(re im)"]
+    for port, z in enumerate(starred.tolist(), 1):
+        p = z.conjugate()
+        lines.append(f"{port:>4}  {z.real:+.12e} {z.imag:+.12e}  {p.real:+.12e} {p.imag:+.12e}")
+    return "\n".join(lines) + "\n"
+
+
+SEARCH_HEADER = "trial,identified,clicked_ports,p_succ_analytic\r\n"
+CLICKS_HEADER = "trial,port,clicked\r\n"
+
+
+def _pattern_keys(clicked: np.ndarray) -> np.ndarray:
+    """Exact bool-row keys: the bits as the narrowest unsigned int, beyond 64 the bytes."""
+    trials, n = clicked.shape
+    if n > 64:
+        return clicked.view(f"V{n}")[:, 0]
+    width = 1 << ((n - 1) // 8).bit_length()  # 1, 2, 4 or 8 bytes
+    bits = np.zeros((trials, 8 * width), bool)  # whole bytes per row: one flat pack
+    bits[:, :n] = clicked
+    return np.packbits(bits).view(f"u{width}")
+
+
+def _records(start: int, pieces: list[str], index: np.ndarray) -> str:
+    """Trial ``start + t``'s records ``str(start + t) + pieces[i]``, i in row t of
+    ``index``.  Trials 10q ... 10q + 9 share the head ``str(q)`` (empty for q = 0),
+    so a decade is one join of its head over its ``digit + piece`` strings."""
+    trials, per_trial = index.shape
+    table = np.array([[d + piece for piece in pieces] for d in "0123456789"], dtype=object)
+    cells = table[((np.arange(trials) + start % 10) % 10)[:, None], index].ravel().tolist()
+    step, end = 10 * per_trial, trials * per_trial
+    edges = [0, *range(step - start % 10 * per_trial, end, step), end]
+    text = []
+    for q, lo, hi in zip(itertools.count(start // 10), edges, edges[1:]):
+        head = str(q) if q else ""
+        text += head, head.join(cells[lo:hi])
+    return "".join(text)
+
+
+def search_rows(start: int, identified: np.ndarray, clicked: np.ndarray, analytic: float) -> str:
+    """The result rows of trials ``start ...`` of one batch; 0 identifies nothing."""
+    n, row_end = clicked.shape[1], f",{analytic:.12g}\r\n"
+    names, labels = ["", *map(str, range(1, n + 1))], [str(port) for port in range(2, n + 2)]
+    # Past its trial number a row depends only on its click pattern: format each once.
+    _, first, which = np.unique(_pattern_keys(clicked), return_index=True, return_inverse=True)
+    suffixes = [
+        f",{names[k]},{';'.join(itertools.compress(labels, row))}{row_end}"
+        for k, row in zip(identified[first].tolist(), clicked[first].tolist())
+    ]
+    return _records(start, suffixes, which.reshape(-1, 1))
+
+
+def click_rows(start: int, clicked: np.ndarray) -> str:
+    """The click records of trials ``start ...`` of one batch, a port per line."""
+    n = clicked.shape[1]
+    tails = [f",{port},{c}\r\n" for port in range(2, n + 2) for c in "01"]  # index 2j + c
+    return _records(start, tails, clicked + np.arange(0, 2 * n, 2))

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import re
@@ -12,10 +13,12 @@ import numpy as np
 import pytest
 
 from cohcirc import (
+    Circuit,
     SearchSpec,
     cli,
     comparison_map,
     compile_circuit,
+    formats,
     random_unitary,
     reck_decompose,
     run_search,
@@ -25,7 +28,13 @@ from cohcirc.cli import main
 from cohcirc.detection import click_probability
 from cohcirc.formats import read_circuit, read_matrix
 from cohcirc.linalg import max_abs
-from conftest import format_amplitudes, format_matrix, random_contraction, search_csv_texts
+from conftest import (
+    format_amplitudes,
+    format_matrix,
+    random_amplitudes,
+    random_contraction,
+    search_csv_texts,
+)
 
 
 def test_synth_identity(tmp_path, capsys):
@@ -202,6 +211,43 @@ def test_synth_then_run_matches_direct_application(tmp_path, capsys):
     assert np.max(np.abs(starred - u @ vec)) <= 1e-9
 
 
+def test_run_after_synth_reuses_the_written_circuit(tmp_path, monkeypatch, capsys):
+    # One process: ``run`` of the circuit ``synth`` just wrote neither parses its
+    # text nor lowers it again, because ``formats`` keeps that circuit.
+    rng = np.random.default_rng(61)
+    matrix, circuit, amplitudes = (tmp_path / name for name in ("m.txt", "c.txt", "a.txt"))
+    matrix.write_text(format_matrix(random_unitary(6, rng)))
+    amplitudes.write_text(format_amplitudes(random_amplitudes(rng, 6)))
+    contexts, lowered = [], []
+    numbers, lower = formats._numbers, Circuit.__dict__["lowered"].func
+
+    def spy_numbers(convert, tokens, context):
+        contexts.append(context)
+        return numbers(convert, tokens, context)
+
+    def spy_lower(self):
+        lowered.append(self)
+        return lower(self)
+
+    spied = functools.cached_property(spy_lower)
+    spied.__set_name__(Circuit, "lowered")
+    monkeypatch.setattr(formats, "_numbers", spy_numbers)
+    monkeypatch.setattr(Circuit, "lowered", spied)
+    assert main(["synth", str(matrix), str(circuit)]) == 0
+    capsys.readouterr()
+    runs = []
+    for _ in range(2):
+        assert main(["run", str(circuit), str(amplitudes)]) == 0
+        runs.append(capsys.readouterr())
+    assert [c for c in contexts if c.startswith("circuit")] == []
+    assert len(lowered) == 1
+    # Without the kept circuit the same run parses and lowers afresh, and prints the same.
+    monkeypatch.setattr(formats, "_last_circuit", None)
+    assert main(["run", str(circuit), str(amplitudes)]) == 0
+    assert runs == [capsys.readouterr()] * 2
+    assert "circuit" in contexts and len(lowered) == 2
+
+
 def test_search_writes_deterministic_csv(tmp_path, capsys):
     out_file = tmp_path / "trials.csv"
     args = [
@@ -336,7 +382,7 @@ def test_records_equal_one_string_per_record(per_trial):
             index = rng.integers(0, len(pieces), (trials, per_trial))
             rows = enumerate(index.tolist(), start)
             naive = "".join(str(trial) + pieces[i] for trial, row in rows for i in row)
-            assert cli._records(start, pieces, index) == naive, (start, trials)
+            assert formats._records(start, pieces, index) == naive, (start, trials)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 12, 16, 17, 33, 64, 65, 70])
@@ -345,7 +391,7 @@ def test_pattern_keys_are_equal_exactly_when_rows_are(n):
     rows = rng.random((400, n)) < 0.5
     rows[200:] = rows[rng.integers(0, 200, 200)]  # repeats, then one-bit neighbours
     rows[np.arange(300, 400), rng.integers(0, n, 100)] ^= True
-    keys = cli._pattern_keys(rows)
+    keys = formats._pattern_keys(rows)
     assert keys.shape == (400,)
     if n <= 64:  # the narrowest of 1, 2, 4 and 8 bytes
         assert keys.dtype.kind == "u"

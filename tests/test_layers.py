@@ -1,7 +1,9 @@
 """The package's modules form layers, and every import points strictly down.
 
 errors -> linalg -> {detection, synthesis} -> {formats, protocols} -> cli;
-``__init__`` sits above them all and only re-exports.
+``__init__`` sits above them all and only re-exports.  The test files mirror
+the modules: each ``tests/test_<name>.py`` names a module or one of the
+cross-cutting concerns in ``CROSS_CUTTING``.
 """
 
 import ast
@@ -12,6 +14,7 @@ import cohcirc
 PACKAGE = Path(cohcirc.__file__).resolve().parent
 LAYERS = [["errors"], ["linalg"], ["detection", "synthesis"], ["formats", "protocols"], ["cli"]]
 RANK = {module: rank for rank, layer in enumerate(LAYERS) for module in layer}
+CROSS_CUTTING = {"acceptance", "cli_fuzz", "fock_oracle", "kernel", "layers", "public_api"}
 
 
 def package_imports(path: Path) -> set[str]:
@@ -41,3 +44,8 @@ def test_every_import_points_strictly_down_the_layers():
         if not RANK.get(imported, len(LAYERS)) < RANK.get(path.stem, -1)
     ]
     assert upward == []
+
+
+def test_every_test_file_names_a_module_or_a_cross_cutting_concern():
+    names = {path.stem.removeprefix("test_") for path in Path(__file__).parent.glob("test_*.py")}
+    assert names - set(RANK) - CROSS_CUTTING == set()
