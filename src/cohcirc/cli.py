@@ -92,15 +92,15 @@ _pair = _flag_type(_complex_pair, _nonempty_finite, "four finite numbers 're,im,
 def cmd_synth(args) -> int:
     matrix = read_matrix(args.matrix)
     lines = []
-    if matrix.shape[0] == matrix.shape[1] and linalg.is_unitary(matrix, args.tol):
-        target, route = matrix, "unitary"
-    else:
+    try:
+        target, route, circuit = matrix, "unitary", reck_decompose(matrix, args.tol)
+    except SynthesisError:  # Reck refuses only a non-square or non-unitary map
         target, route = dilate(matrix, args.tol), "dilation"
         lines.append(
             f"dilated {matrix.shape[0]}x{matrix.shape[1]} contraction into a "
             f"{target.shape[0]}-mode unitary; signal outputs on ports 1..{matrix.shape[0]}"
         )
-    circuit = reck_decompose(target, args.tol)
+        circuit = reck_decompose(target, args.tol)
     residual = linalg.max_abs(compile_circuit(circuit) - target)
     if not residual <= RESIDUAL_TOLS * args.tol:
         raise SynthesisError(

@@ -19,6 +19,7 @@ from cohcirc import (
     comparison_map,
     compile_circuit,
     formats,
+    linalg,
     random_unitary,
     reck_decompose,
     run_search,
@@ -145,6 +146,30 @@ def test_dilation_synth_takes_one_svd(tmp_path, capsys, monkeypatch):
         assert main(["synth", str(matrix_file), str(tmp_path / "c.txt")]) == code
         assert printed in capsys.readouterr().out
         assert len(calls) == 1
+
+
+def test_synth_route_takes_one_unitarity_product_per_decomposition(tmp_path, capsys, monkeypatch):
+    # reck_decompose's own gate picks the unitary route.  A square map it
+    # refuses pays that product once more, for the dilation's gate; a
+    # rectangular one is refused before any product.
+    rng = np.random.default_rng(7)
+    cases = [
+        (random_unitary(5, rng), [], 0, "route=unitary modes=5 ", 1),
+        ([[1, 0.2], [0, 1]], ["--tol", "0.25"], 0, "route=unitary modes=2 beamsplitters=0 ", 1),
+        (random_contraction(rng, 4, 0.9), [], 0, "route=dilation modes=8 ", 2),
+        (np.full((2, 5), 0.3), [], 0, "route=dilation modes=7 ", 1),
+        (np.diag([1.5, 0.2]), [], 2, "", 1),
+        (np.full((2, 3), 1.0), [], 2, "", 0),
+    ]
+    defect = linalg.unitarity_defect
+    for matrix, flags, code, printed, products in cases:
+        matrix_file = tmp_path / "m.txt"
+        matrix_file.write_text(format_matrix(np.asarray(matrix, dtype=complex)))
+        calls = []
+        monkeypatch.setattr(linalg, "unitarity_defect", lambda m: calls.append(m) or defect(m))
+        assert main(["synth", str(matrix_file), str(tmp_path / "c.txt"), *flags]) == code
+        assert printed in capsys.readouterr().out
+        assert len(calls) == products, printed
 
 
 def test_synth_prints_nothing_when_the_circuit_cannot_be_written(tmp_path, capsys):
@@ -368,38 +393,6 @@ def test_search_csv_bytes_are_pinned(tmp_path, capsys):
     assert capsys.readouterr() == (PINNED_SUMMARY, "")
     assert main(argv) == 0
     assert capsys.readouterr() == (PINNED_TRIALS, PINNED_SUMMARY)
-
-
-@pytest.mark.parametrize("per_trial", [1, 2, 3])
-def test_records_equal_one_string_per_record(per_trial):
-    # Decade heads must hold across every residue, partial decades and carries.
-    rng = np.random.default_rng(per_trial)
-    pieces = [f",{k},piece\r\n" for k in range(5)]
-    edges = (10, 100, 10**6, 2**63)
-    starts = [*range(20), 1230, 1237, *(edge - k for edge in edges for k in (1, 3, 9))]
-    for start in starts:
-        for trials in range(1, 24):
-            index = rng.integers(0, len(pieces), (trials, per_trial))
-            rows = enumerate(index.tolist(), start)
-            naive = "".join(str(trial) + pieces[i] for trial, row in rows for i in row)
-            assert formats._records(start, pieces, index) == naive, (start, trials)
-
-
-@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 12, 16, 17, 33, 64, 65, 70])
-def test_pattern_keys_are_equal_exactly_when_rows_are(n):
-    rng = np.random.default_rng(n)
-    rows = rng.random((400, n)) < 0.5
-    rows[200:] = rows[rng.integers(0, 200, 200)]  # repeats, then one-bit neighbours
-    rows[np.arange(300, 400), rng.integers(0, n, 100)] ^= True
-    keys = formats._pattern_keys(rows)
-    assert keys.shape == (400,)
-    if n <= 64:  # the narrowest of 1, 2, 4 and 8 bytes
-        assert keys.dtype.kind == "u"
-        assert keys.dtype.itemsize == min(b for b in (1, 2, 4, 8) if 8 * b >= n)
-    _, by_key = np.unique(keys, return_inverse=True)
-    _, by_row = np.unique(rows, axis=0, return_inverse=True)
-    pairs = set(zip(by_key.tolist(), by_row.ravel().tolist()))
-    assert len(pairs) == by_key.max() + 1 == by_row.max() + 1
 
 
 def test_seed_gate_edges(tmp_path, capsys):

@@ -229,3 +229,35 @@ def test_rejected_text_or_failed_write_keeps_the_last_circuit(tmp_path):
         write_circuit(tmp_path / "missing" / "c.txt", other)
     assert read_circuit(path) is written
     assert parse_circuit(format_circuit(other)) is not other
+
+
+@pytest.mark.parametrize("per_trial", [1, 2, 3])
+def test_records_equal_one_string_per_record(per_trial):
+    # Decade heads must hold across every residue, partial decades and carries.
+    rng = np.random.default_rng(per_trial)
+    pieces = [f",{k},piece\r\n" for k in range(5)]
+    edges = (10, 100, 10**6, 2**63)
+    starts = [*range(20), 1230, 1237, *(edge - k for edge in edges for k in (1, 3, 9))]
+    for start in starts:
+        for trials in range(1, 24):
+            index = rng.integers(0, len(pieces), (trials, per_trial))
+            rows = enumerate(index.tolist(), start)
+            naive = "".join(str(trial) + pieces[i] for trial, row in rows for i in row)
+            assert formats._records(start, pieces, index) == naive, (start, trials)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 12, 16, 17, 33, 64, 65, 70])
+def test_pattern_keys_are_equal_exactly_when_rows_are(n):
+    rng = np.random.default_rng(n)
+    rows = rng.random((400, n)) < 0.5
+    rows[200:] = rows[rng.integers(0, 200, 200)]  # repeats, then one-bit neighbours
+    rows[np.arange(300, 400), rng.integers(0, n, 100)] ^= True
+    keys = formats._pattern_keys(rows)
+    assert keys.shape == (400,)
+    if n <= 64:  # the narrowest of 1, 2, 4 and 8 bytes
+        assert keys.dtype.kind == "u"
+        assert keys.dtype.itemsize == min(b for b in (1, 2, 4, 8) if 8 * b >= n)
+    _, by_key = np.unique(keys, return_inverse=True)
+    _, by_row = np.unique(rows, axis=0, return_inverse=True)
+    pairs = set(zip(by_key.tolist(), by_row.ravel().tolist()))
+    assert len(pairs) == by_key.max() + 1 == by_row.max() + 1
